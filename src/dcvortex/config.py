@@ -76,9 +76,12 @@ class RunConfig:
 
 def _parse_complex(token: str, where: str) -> complex:
     try:
-        return complex(token.replace(" ", ""))
+        value = complex(token.replace(" ", ""))
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse complex number {token!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: non-finite value {token!r}")
+    return value
 
 
 def build_field(grid: TorusGrid, spec: str, ro: int, ri: int, form_type: str):

@@ -46,11 +46,6 @@ class TorusGrid:
     def spacing(self) -> float:
         return 1.0 / self.n
 
-    @property
-    def kahler_normalization(self) -> float:
-        # area of the fundamental domain; the unit square needs no rescaling
-        return 1.0
-
     def coordinates(self):
         x = np.arange(self.n) / self.n
         return np.meshgrid(x, x, indexing="ij")
@@ -171,15 +166,17 @@ def _axis_derivative(values: np.ndarray, n: int, axis: int) -> np.ndarray:
     return np.fft.ifft(hat, axis=axis)
 
 
-def _d_z(f: FieldOnTorus) -> np.ndarray:
-    dx = _axis_derivative(f.values, f.grid.n, 0)
-    dy = _axis_derivative(f.values, f.grid.n, 1)
+def _d_z(values: np.ndarray) -> np.ndarray:
+    n = values.shape[0]
+    dx = _axis_derivative(values, n, 0)
+    dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx - 1j * dy)
 
 
-def _d_zbar(f: FieldOnTorus) -> np.ndarray:
-    dx = _axis_derivative(f.values, f.grid.n, 0)
-    dy = _axis_derivative(f.values, f.grid.n, 1)
+def _d_zbar(values: np.ndarray) -> np.ndarray:
+    n = values.shape[0]
+    dx = _axis_derivative(values, n, 0)
+    dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx + 1j * dy)
 
 
@@ -190,18 +187,18 @@ def dbar(f: FieldOnTorus) -> FieldOnTorus:
     dz^dzbar coefficient of dbar(u dz) = -(d_zbar u) dz^dzbar.
     """
     if f.form_type == FUNCTION:
-        return FieldOnTorus(f.grid, FORM_01, _d_zbar(f))
+        return FieldOnTorus(f.grid, FORM_01, _d_zbar(f.values))
     if f.form_type == FORM_10:
-        return FieldOnTorus(f.grid, FORM_11, -_d_zbar(f))
+        return FieldOnTorus(f.grid, FORM_11, -_d_zbar(f.values))
     raise FormTypeError(f"dbar undefined on {f.form_type} fields")
 
 
 def del_(f: FieldOnTorus) -> FieldOnTorus:
     """del on functions and (0,1)-forms; del(v dzbar) = (d_z v) dz^dzbar."""
     if f.form_type == FUNCTION:
-        return FieldOnTorus(f.grid, FORM_10, _d_z(f))
+        return FieldOnTorus(f.grid, FORM_10, _d_z(f.values))
     if f.form_type == FORM_01:
-        return FieldOnTorus(f.grid, FORM_11, _d_z(f))
+        return FieldOnTorus(f.grid, FORM_11, _d_z(f.values))
     raise FormTypeError(f"del undefined on {f.form_type} fields")
 
 
@@ -259,11 +256,6 @@ def wedge(a: FieldOnTorus, b: FieldOnTorus) -> FieldOnTorus:
         raise ShapeError(f"cannot compose {a.values.shape} with {b.values.shape}")
     out_type, sign = _WEDGE_SIGN[key]
     return FieldOnTorus(a.grid, out_type, sign * (a.values @ b.values))
-
-
-def compose(a: FieldOnTorus, b: FieldOnTorus) -> FieldOnTorus:
-    """Pointwise matrix composition a(b(.)) of function-type fields."""
-    return wedge(a, b)
 
 
 def adjoint_values(v: np.ndarray) -> np.ndarray:

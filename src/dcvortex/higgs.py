@@ -29,15 +29,6 @@ def degree_mask(degrees_out: Sequence[int], degrees_in: Sequence[int]) -> np.nda
     return do[:, None] == di[None, :]
 
 
-def background_curvature(grid: TorusGrid, degrees: Sequence[int]) -> FieldOnTorus:
-    """Curvature of the background connection, -2 pi i d omega per summand.
-
-    As a dz^dzbar coefficient this is the constant diag(pi * d).
-    """
-    coeff = np.pi * np.diag(np.asarray(degrees, dtype=float))
-    return geo.constant_field(grid, coeff, geo.FORM_11)
-
-
 def _check_mask(values: np.ndarray, mask: np.ndarray, what: str, tol: float):
     if values.shape[-2:] != mask.shape:
         raise ShapeError(f"{what}: shape {values.shape[-2:]} does not match mask {mask.shape}")
@@ -90,7 +81,7 @@ class QuadrupletSpec:
         return m1, m2, mphi, mpsi
 
     def validate(self):
-        """Check shapes, block support, phi psi = psi phi = 0 and holomorphy."""
+        """Check shapes, finiteness, block support, phi psi = psi phi = 0 and holomorphy."""
         r1, r2 = self.r1, self.r2
         for f, ro, ri, ft, what in (
             (self.theta1, r1, r1, geo.FORM_10, "theta1"),
@@ -102,6 +93,8 @@ class QuadrupletSpec:
                 raise ConstraintError(f"{what} must be a {ft} field")
             if (f.rank_out, f.rank_in) != (ro, ri):
                 raise ShapeError(f"{what} must be {ro}x{ri}, got {f.rank_out}x{f.rank_in}")
+            if not np.isfinite(f.values).all():
+                raise ConstraintError(f"{what} has non-finite values")
         m1, m2, mphi, mpsi = self.masks()
         _check_mask(self.theta1.values, m1, "theta1", self.tol)
         _check_mask(self.theta2.values, m2, "theta2", self.tol)
@@ -135,15 +128,19 @@ class MetricPair:
     h2: FieldOnTorus
 
     def validate(self, tol: float = 1e-12):
-        for h, what in ((self.h1, "h1"), (self.h2, "h2")):
-            v = h.values
-            herm_defect = geo.sup_norm(v - geo.adjoint_values(v))
-            if herm_defect > tol * max(1.0, geo.sup_norm(v)):
-                raise DomainError(f"{what} is not Hermitian (defect {herm_defect:.3e})")
-            eigs = np.linalg.eigvalsh(v)
-            if eigs.min() <= 0:
-                raise DomainError(f"{what} is not positive definite (min eig {eigs.min():.3e})")
+        _check_metric(self.h1.values, "h1", tol)
+        _check_metric(self.h2.values, "h2", tol)
         return self
+
+
+def _check_metric(values: np.ndarray, what: str = "metric", tol: float = 1e-12) -> None:
+    """Raise DomainError unless the field is pointwise Hermitian positive definite."""
+    herm_defect = geo.sup_norm(values - geo.adjoint_values(values))
+    if herm_defect > tol * max(1.0, geo.sup_norm(values)):
+        raise DomainError(f"{what} is not Hermitian (defect {herm_defect:.3e})")
+    eigs = np.linalg.eigvalsh(values)
+    if eigs.min() <= 0:
+        raise DomainError(f"{what} is not positive definite (min eig {eigs.min():.3e})")
 
 
 def expm_hermitian(values: np.ndarray) -> np.ndarray:
@@ -154,10 +151,19 @@ def expm_hermitian(values: np.ndarray) -> np.ndarray:
     return (v * np.exp(w)[..., None, :]) @ geo.adjoint_values(v)
 
 
-def metric_inverse(h: FieldOnTorus) -> np.ndarray:
-    if h.rank_out == 1:
-        return 1.0 / h.values
-    return np.linalg.inv(h.values)
+def metric_inverse(values: np.ndarray) -> np.ndarray:
+    """Pointwise inverse of a metric field's values."""
+    if values.shape[-1] == 1:
+        return 1.0 / values
+    return np.linalg.inv(values)
+
+
+def _curvature_values(h: np.ndarray, hinv: np.ndarray, background_degrees: Sequence[int]) -> np.ndarray:
+    # dz^dzbar coefficient of F_bg + dbar(h^-1 del h); the background curvature
+    # -2 pi i d omega has the constant coefficient diag(pi d), and
+    # dbar(u dz) = -(d_zbar u) dz^dzbar
+    background = np.pi * np.diag(np.asarray(background_degrees, dtype=float))
+    return background - geo._d_zbar(hinv @ geo._d_z(h))
 
 
 def chern_curvature(h: FieldOnTorus, background_degrees: Sequence[int]) -> FieldOnTorus:
@@ -165,13 +171,9 @@ def chern_curvature(h: FieldOnTorus, background_degrees: Sequence[int]) -> Field
 
     Satisfies (i/2pi) integral tr Lambda(F_h) vol = sum(background_degrees).
     """
-    eigs = np.linalg.eigvalsh(h.values)
-    if eigs.min() <= 0:
-        raise DomainError(f"metric not positive definite (min eig {eigs.min():.3e})")
-    hinv = metric_inverse(h)
-    dh = geo.del_(h)
-    connection = FieldOnTorus(h.grid, geo.FORM_10, hinv @ dh.values)
-    return background_curvature(h.grid, background_degrees) + geo.dbar(connection)
+    _check_metric(h.values)
+    coeff = _curvature_values(h.values, metric_inverse(h.values), background_degrees)
+    return FieldOnTorus(h.grid, geo.FORM_11, coeff)
 
 
 def higgs_adjoint(theta: FieldOnTorus, h: FieldOnTorus) -> FieldOnTorus:
@@ -180,9 +182,7 @@ def higgs_adjoint(theta: FieldOnTorus, h: FieldOnTorus) -> FieldOnTorus:
         raise geo.FormTypeError("higgs_adjoint expects a (1,0)-form")
     if theta.rank_out != h.rank_out:
         raise ShapeError("theta and h ranks differ")
-    hinv = metric_inverse(h)
-    coeff = hinv @ geo.adjoint_values(theta.values) @ h.values
-    return FieldOnTorus(theta.grid, geo.FORM_01, coeff)
+    return FieldOnTorus(theta.grid, geo.FORM_01, _adjoint(theta.values, metric_inverse(h.values), h.values))
 
 
 def bracket_theta(theta: FieldOnTorus, theta_dag: FieldOnTorus) -> FieldOnTorus:
@@ -198,8 +198,12 @@ def morphism_adjoint(f: FieldOnTorus, h_from: FieldOnTorus, h_to: FieldOnTorus) 
     """Adjoint f* = h_from^-1 f^dagger h_to of f: (E_from,h_from) -> (E_to,h_to)."""
     if f.rank_out != h_to.rank_out or f.rank_in != h_from.rank_out:
         raise ShapeError("morphism and metric shapes are inconsistent")
-    coeff = metric_inverse(h_from) @ geo.adjoint_values(f.values) @ h_to.values
-    return FieldOnTorus(f.grid, f.form_type, coeff)
+    return FieldOnTorus(f.grid, f.form_type, _adjoint(f.values, metric_inverse(h_from.values), h_to.values))
+
+
+def _adjoint(f: np.ndarray, hinv_from: np.ndarray, h_to: np.ndarray) -> np.ndarray:
+    # h_from^-1 f^dagger h_to: the adjoint of f for the metrics at either end
+    return hinv_from @ geo.adjoint_values(f) @ h_to
 
 
 class HolomorphyResiduals(NamedTuple):
@@ -214,32 +218,59 @@ def holomorphy_residuals(q: QuadrupletSpec) -> HolomorphyResiduals:
 
     For the morphisms the (0,1) part (dbar f) and the (1,0) part
     (theta-intertwining defect) must vanish separately; the reported
-    residual is the larger of the two.
+    residual is the larger of the two.  The dbar parts include the
+    Nyquist-mode content that the spectral dbar cannot see.
     """
-    r_t1 = geo.dbar(q.theta1).sup_norm()
-    r_t2 = geo.dbar(q.theta2).sup_norm()
-    dbar_phi = geo.dbar(q.phi).sup_norm()
+    r_t1 = _dbar_defect(q.theta1)
+    r_t2 = _dbar_defect(q.theta2)
+    dbar_phi = _dbar_defect(q.phi)
     twist_phi = geo.sup_norm(q.theta2.values @ q.phi.values - q.phi.values @ q.theta1.values)
-    dbar_psi = geo.dbar(q.psi).sup_norm()
+    dbar_psi = _dbar_defect(q.psi)
     twist_psi = geo.sup_norm(q.theta1.values @ q.psi.values - q.psi.values @ q.theta2.values)
     return HolomorphyResiduals(r_t1, r_t2, max(dbar_phi, twist_phi), max(dbar_psi, twist_psi))
 
 
-def higgs_laplacian_term(q: QuadrupletSpec, h: MetricPair):
-    """Lambda(F_{h_i} + [theta_i, theta_i^dagger]) for both bundles."""
-    f1 = chern_curvature(h.h1, q.block_degrees1)
-    f2 = chern_curvature(h.h2, q.block_degrees2)
-    b1 = bracket_theta(q.theta1, higgs_adjoint(q.theta1, h.h1))
-    b2 = bracket_theta(q.theta2, higgs_adjoint(q.theta2, h.h2))
-    return geo.lambda_contract(f1 + b1), geo.lambda_contract(f2 + b2)
+def _dbar_defect(f: FieldOnTorus) -> float:
+    """sup |dbar f|, or the size of dbar on f's Nyquist modes if that is larger.
+
+    The spectral derivatives zero the Nyquist wavenumber pi n, so a grid-scale
+    oscillation such as (-1)^i has dbar = 0 on the grid; in the continuum a
+    Nyquist mode of amplitude a has |d_zbar| = pi n a / 2.
+    """
+    n = f.grid.n
+    hat = np.fft.fft2(f.values, axes=(0, 1)) / n**2
+    nyquist = max(np.abs(hat[n // 2]).max(), np.abs(hat[:, n // 2]).max())
+    return max(geo.dbar(f).sup_norm(), 0.5 * np.pi * n * float(nyquist))
+
+
+def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray):
+    """The pieces of the vortex residual, as arrays, for metric arrays h1, h2.
+
+    Returns Lambda(F_{h_i} + [theta_i, theta_i^dagger]) for both bundles,
+    then the four coupling endomorphisms of `coupling_terms`.  Each metric
+    is inverted once.  The metrics are not checked: callers pass metrics
+    that are positive by construction or were validated.
+    """
+    inv1, inv2 = metric_inverse(h1), metric_inverse(h2)
+    lam = []
+    for theta, h, hinv, degrees in (
+        (q.theta1.values, h1, inv1, q.block_degrees1),
+        (q.theta2.values, h2, inv2, q.block_degrees2),
+    ):
+        # [theta, theta^dagger] has dz^dzbar coefficient T S - S T for S = theta^dagger
+        s = _adjoint(theta, hinv, h)
+        lam.append(-2j * (_curvature_values(h, hinv, degrees) + (theta @ s - s @ theta)))
+    return (lam[0], lam[1]) + _couplings(q, h1, h2, inv1, inv2)
 
 
 def coupling_terms(q: QuadrupletSpec, h: MetricPair):
     """The four quadratic coupling endomorphisms (phi*phi, phi phi*, psi psi*, psi* psi)."""
-    phi_star = morphism_adjoint(q.phi, h.h1, h.h2)
-    psi_star = morphism_adjoint(q.psi, h.h2, h.h1)
-    phis_phi = phi_star.values @ q.phi.values
-    phi_phis = q.phi.values @ phi_star.values
-    psi_psis = q.psi.values @ psi_star.values
-    psis_psi = psi_star.values @ q.psi.values
-    return phis_phi, phi_phis, psi_psis, psis_psi
+    h1, h2 = h.h1.values, h.h2.values
+    return _couplings(q, h1, h2, metric_inverse(h1), metric_inverse(h2))
+
+
+def _couplings(q: QuadrupletSpec, h1, h2, inv1, inv2):
+    phi, psi = q.phi.values, q.psi.values
+    phi_star = _adjoint(phi, inv1, h2)
+    psi_star = _adjoint(psi, inv2, h1)
+    return phi_star @ phi, phi @ phi_star, psi @ psi_star, psi_star @ psi

@@ -135,12 +135,10 @@ def omega_I(a: TangentData, b: TangentData) -> float:
 
 # -- curvature and the moment map ----------------------------------------------
 
-def _curvature_coeff(grid: TorusGrid, degrees: Sequence[int], c: np.ndarray) -> np.ndarray:
+def _curvature_coeff(degrees: Sequence[int], c: np.ndarray) -> np.ndarray:
     """dz^dzbar coefficient of F(bg + a) with a = C dz - C^dag dzbar."""
     d = -_adj(c)
-    field_c = FieldOnTorus(grid, geo.FUNCTION, c)
-    field_d = FieldOnTorus(grid, geo.FUNCTION, d)
-    da = geo._d_z(field_d) - geo._d_zbar(field_c)
+    da = geo._d_z(d) - geo._d_zbar(c)
     bg = np.pi * np.diag(np.asarray(degrees, dtype=float))
     return bg + da + (c @ d - d @ c)
 
@@ -160,8 +158,8 @@ def moment_mu_I(x: Configuration) -> tuple[FieldOnTorus, FieldOnTorus]:
     phi_phis = x.phi @ _adj(x.phi)
     psi_psis = x.psi @ _adj(x.psi)
     psis_psi = _adj(x.psi) @ x.psi
-    f1 = _curvature_coeff(x.grid, x.block_degrees1, x.a1)
-    f2 = _curvature_coeff(x.grid, x.block_degrees2, x.a2)
+    f1 = _curvature_coeff(x.block_degrees1, x.a1)
+    f2 = _curvature_coeff(x.block_degrees2, x.a2)
     mu1 = f1 - _wedge_square_coeff(x.p1) + (1j * phis_phi - 1j * psi_psis) * geo.OMEGA_COEFF
     mu2 = f2 - _wedge_square_coeff(x.p2) + (-1j * phi_phis + 1j * psis_psi) * geo.OMEGA_COEFF
     return (
@@ -192,7 +190,7 @@ def gauge_transform(x: Configuration, g1: np.ndarray, g2: np.ndarray) -> Configu
     """Finite unitary gauge action (g1, g2) . x."""
     def transform_connection(c, g):
         ginv = _adj(g)  # unitary
-        dzg = geo._d_z(FieldOnTorus(x.grid, geo.FUNCTION, g))
+        dzg = geo._d_z(g)
         return g @ c @ ginv - dzg @ ginv
 
     return replace(
@@ -209,7 +207,7 @@ def gauge_transform(x: Configuration, g1: np.ndarray, g2: np.ndarray) -> Configu
 def infinitesimal_gauge(x: Configuration, xi: GaugeDirection) -> TangentData:
     """X_xi(x) = d/dt exp(t xi) . x: (-nabla u, [u, Phi_1], ..., v phi - phi u, u psi - psi v)."""
     def cov_deriv(u, c):
-        du = geo._d_z(FieldOnTorus(x.grid, geo.FUNCTION, u))
+        du = geo._d_z(u)
         return du + c @ u - u @ c
 
     return TangentData(
@@ -254,7 +252,7 @@ def constraint_residuals(x: Configuration) -> dict:
     d2 = -_adj(x.a2)
 
     def dbar_cov(values, d_left, d_right):
-        dzbar = geo._d_zbar(FieldOnTorus(x.grid, geo.FUNCTION, values))
+        dzbar = geo._d_zbar(values)
         return dzbar + d_left @ values - values @ d_right
 
     return {
@@ -289,11 +287,11 @@ def configuration_from_solution(q: QuadrupletSpec, h: MetricPair, c: VortexConst
     """
     g1 = _sqrtm_hermitian(h.h1.values)
     g2 = _sqrtm_hermitian(h.h2.values)
-    g1_inv = higgs.metric_inverse(FieldOnTorus(q.grid, geo.FUNCTION, g1))
-    g2_inv = higgs.metric_inverse(FieldOnTorus(q.grid, geo.FUNCTION, g2))
+    g1_inv = higgs.metric_inverse(g1)
+    g2_inv = higgs.metric_inverse(g2)
 
     def connection(g, ginv):
-        dzg = geo._d_z(FieldOnTorus(q.grid, geo.FUNCTION, g))
+        dzg = geo._d_z(g)
         return ginv @ dzg
 
     theta1p = g1 @ q.theta1.values @ g1_inv

@@ -340,8 +340,7 @@ def assemble_F(
     forms = calibrate_alpha_beta(sigma, charts)
     weights = LAMBDA_WEIGHT_CASES[weights_case](sigma)
 
-    lam1, lam2 = higgs.higgs_laplacian_term(q, h)
-    couplings = higgs.coupling_terms(q, h)
+    lam1, lam2, *couplings = higgs.residual_terms(q, h.h1.values, h.h2.values)
 
     r1, r2 = q.r1, q.r2
     total = r1 + r2
@@ -363,7 +362,7 @@ def assemble_F(
         points.append(
             ProductPointData(ij, chart, zeta, dbar_off, theta_blocks, theta_off, metric, weights)
         )
-    return AssembledProduct(q, h, float(sigma), forms, charts, points, weights_case, lam1.values, lam2.values, couplings)
+    return AssembledProduct(q, h, float(sigma), forms, charts, points, weights_case, lam1, lam2, tuple(couplings))
 
 
 def volume_product(sigma: float, charts: Optional[tuple[P1Chart, P1Chart]] = None, weights_case: str = "main") -> float:

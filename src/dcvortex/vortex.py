@@ -1,4 +1,4 @@
-"""The doubly-coupled vortex system: constants, residual, damped descent solver.
+"""The doubly-coupled vortex system: constants, residual, preconditioned descent solver.
 
 The residual implements
 
@@ -12,6 +12,11 @@ slope-unstable, so these signs are what make solvability and stability
 agree.  The summed trace identity |int tr(i R1) + int tr(i R2)| = 0
 holds for any admissible input once tau' = -(r1 tau - d1 - d2)/r2,
 which is how the tau' sign is locked.
+
+The solver is a Donaldson-type heat flow on the metric logs s_i, h_i =
+exp(s_i), with the flat-Laplacian part of the linearised residual treated
+implicitly in Fourier space (see `solve`); its iteration count does not
+depend on the grid size.
 """
 
 from __future__ import annotations
@@ -24,11 +29,15 @@ import numpy as np
 
 from . import geometry as geo
 from . import higgs
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .geometry import FieldOnTorus
 from .higgs import MetricPair, QuadrupletSpec
 
 TWO_PI = 2.0 * np.pi
+# O(1) initial step of the preconditioned flow; backtracking settles it
+DEFAULT_STEP = 1.0
+# trust region: a step moving s by more than this (sup norm) is scaled down to it
+MAX_UPDATE = 1.0
 
 
 def _is_rational(x) -> bool:
@@ -104,15 +113,21 @@ class VortexResidual:
         return max(self.sup_norms())
 
 
-def residual(q: QuadrupletSpec, h: MetricPair, c: VortexConstants) -> VortexResidual:
-    lam1, lam2 = higgs.higgs_laplacian_term(q, h)
-    phis_phi, phi_phis, psi_psis, psis_psi = higgs.coupling_terms(q, h)
+def residual(q: QuadrupletSpec, h: MetricPair, c: VortexConstants, *, checked: bool = True) -> VortexResidual:
+    """R1, R2 at the metrics h.
+
+    checked=False skips the Hermitian/positivity check of h; the solver
+    passes it for its own iterates h = exp(herm s), positive by construction.
+    """
+    if checked:
+        h.validate()
+    lam1, lam2, phis_phi, phi_phis, psi_psis, psis_psi = higgs.residual_terms(q, h.h1.values, h.h2.values)
     tau = float(c.tau)
     tau_p = float(c.tau_prime)
     eye1 = np.eye(q.r1)
     eye2 = np.eye(q.r2)
-    r1 = lam1.values + 1j * phis_phi - 1j * psi_psis + TWO_PI * 1j * tau * eye1
-    r2 = lam2.values - 1j * phi_phis + 1j * psis_psi + TWO_PI * 1j * tau_p * eye2
+    r1 = lam1 + 1j * phis_phi - 1j * psi_psis + TWO_PI * 1j * tau * eye1
+    r2 = lam2 - 1j * phi_phis + 1j * psis_psi + TWO_PI * 1j * tau_p * eye2
     return VortexResidual(
         FieldOnTorus(q.grid, geo.FUNCTION, r1),
         FieldOnTorus(q.grid, geo.FUNCTION, r2),
@@ -135,7 +150,7 @@ def is_solution(q: QuadrupletSpec, h: MetricPair, c: VortexConstants, tol: float
 
 @dataclass
 class SolveOptions:
-    step: Optional[float] = None          # auto: 1.8 / (pi^2 n^2)
+    step: Optional[float] = None          # initial step; auto: DEFAULT_STEP, the same for every n
     max_iter: int = 200_000
     target_residual: float = 1e-8
     patience: int = 2000                  # accepted steps without relative progress
@@ -172,20 +187,54 @@ def _renormalize_trace(s1: np.ndarray, s2: np.ndarray, r1: int, r2: int):
     return s1, s2
 
 
-def solve(q: QuadrupletSpec, c: VortexConstants, options: Optional[SolveOptions] = None):
-    """Damped descent s_i <- herm(s_i - eps i R_i) on metric logs h_i = exp(s_i).
+def solve(
+    q: QuadrupletSpec,
+    c: VortexConstants,
+    options: Optional[SolveOptions] = None,
+    *,
+    initial_log_metric: Optional[tuple[np.ndarray, np.ndarray]] = None,
+):
+    """Preconditioned descent s_i <- s_i - eps herm(P_eps^-1(i R_i)) on metric logs h_i = exp(s_i).
 
-    Backtracking keeps the sup residual non-increasing; nonconvergence
+    For h = exp(s) the leading part of i R is -(1/2) Laplace s, so
+    P_eps = 1 + (eps/2)|k|^2 treats it implicitly.  |k|^2 is the symbol of
+    -4 d_zbar d_z with the residual's own Nyquist-zeroed wavenumbers, and
+    P_eps is applied in Fourier space.  The explicit bound eps ~ 1/n^2 is
+    gone: the step is set by the zeroth-order coupling terms, so the
+    iteration count does not depend on n.  On a constant residual P_eps acts
+    as the identity.
+
+    Backtracking keeps the sup residual non-increasing, and no step moves s
+    by more than MAX_UPDATE; nonconvergence
     (stall, scale runaway, or step collapse) is reported as a result, not
     raised - it is the expected outcome for unstable quadruplets.
+    initial_log_metric=(s1, s2) starts from h_i = exp(s_i) (Hermitian parts
+    used) instead of h_i = Id.
     Returns (MetricPair of the best iterate, SolveReport).
     """
     opts = options or SolveOptions()
     n = q.grid.n
-    eps = opts.step if opts.step is not None else 1.8 / (np.pi ** 2 * n ** 2)
+    eps = opts.step if opts.step is not None else DEFAULT_STEP
+    k = q.grid.wavenumbers(zero_nyquist=True)
+    half_k2 = 0.5 * (k[:, None] ** 2 + k[None, :] ** 2)[..., None, None]
 
-    s1 = np.zeros((n, n, q.r1, q.r1), dtype=np.complex128)
-    s2 = np.zeros((n, n, q.r2, q.r2), dtype=np.complex128)
+    def descent(r: np.ndarray) -> np.ndarray:
+        hat = np.fft.fft2(1j * r, axes=(0, 1))
+        hat /= 1.0 + eps * half_k2
+        return geo.hermitian_part(np.fft.ifft2(hat, axes=(0, 1)))
+
+    if initial_log_metric is None:
+        s1 = np.zeros((n, n, q.r1, q.r1), dtype=np.complex128)
+        s2 = np.zeros((n, n, q.r2, q.r2), dtype=np.complex128)
+    else:
+        s1, s2 = (geo.hermitian_part(np.asarray(s, dtype=np.complex128)) for s in initial_log_metric)
+        for s, r, what in ((s1, q.r1, "s1"), (s2, q.r2, "s2")):
+            if s.shape != (n, n, r, r):
+                raise ShapeError(f"initial {what} must have shape {(n, n, r, r)}, got {s.shape}")
+            if not np.isfinite(s).all():
+                raise DomainError(f"initial {what} has non-finite values")
+        if opts.trace_normalize:
+            s1, s2 = _renormalize_trace(s1, s2, q.r1, q.r2)
 
     def metrics(a, b):
         return MetricPair(
@@ -193,8 +242,7 @@ def solve(q: QuadrupletSpec, c: VortexConstants, options: Optional[SolveOptions]
             FieldOnTorus(q.grid, geo.FUNCTION, higgs.expm_hermitian(b)),
         )
 
-    h = metrics(s1, s2)
-    res = residual(q, h, c)
+    res = residual(q, metrics(s1, s2), c, checked=False)
     sup1, sup2 = res.sup_norms()
     sup = max(sup1, sup2)
     history = [(0, sup1, sup2)]
@@ -209,17 +257,22 @@ def solve(q: QuadrupletSpec, c: VortexConstants, options: Optional[SolveOptions]
     it = 0
     while not converged and it < opts.max_iter:
         it += 1
-        cand1 = s1 - eps * geo.hermitian_part(1j * res.R1.values)
-        cand2 = s2 - eps * geo.hermitian_part(1j * res.R2.values)
+        step1 = eps * descent(res.R1.values)
+        step2 = eps * descent(res.R2.values)
+        size = max(geo.sup_norm(step1), geo.sup_norm(step2))
+        if size > MAX_UPDATE:
+            # from a far start a full step can overshoot to where exp(s) ~ 0
+            # bounds the residual, and the runaway test below then fires
+            step1, step2 = step1 * (MAX_UPDATE / size), step2 * (MAX_UPDATE / size)
+        cand1, cand2 = s1 - step1, s2 - step2
         if opts.trace_normalize:
             cand1, cand2 = _renormalize_trace(cand1, cand2, q.r1, q.r2)
-        h_cand = metrics(cand1, cand2)
-        res_cand = residual(q, h_cand, c)
+        res_cand = residual(q, metrics(cand1, cand2), c, checked=False)
         c1, c2 = res_cand.sup_norms()
         cand_sup = max(c1, c2)
 
         if cand_sup <= sup * (1.0 + 1e-12):
-            s1, s2, h, res = cand1, cand2, h_cand, res_cand
+            s1, s2, res = cand1, cand2, res_cand
             sup1, sup2, sup = c1, c2, cand_sup
             accepted += 1
             if accepted % opts.record_every == 0:

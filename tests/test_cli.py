@@ -144,6 +144,20 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="complex"):
             parse_config(cfg).quadruplet()
 
+    @pytest.mark.parametrize("spec, message", [
+        ("constant nan", "non-finite"),
+        ("constant inf", "non-finite"),
+        ("matrix [[\"nan\"]]", "non-finite"),
+        # (-1)^i on n = 16: only the grid makes it look holomorphic
+        ("mode 8 0 1", "holomorphy"),
+    ])
+    def test_invalid_field_exit_1(self, tmp_path, capsys, spec, message):
+        cfg = write_config(tmp_path, SMALL_SOLVE.replace("psi = constant 1", f"psi = {spec}"))
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_shipped_configs_parse(self):
         for name in (
             "solve_psi_stable.ini",
@@ -171,6 +185,19 @@ class TestReports:
         back = Report.from_json(rep.to_json())
         assert back.to_dict() == rep.to_dict()
         assert back.constants["tau"] == Fraction(1, 3)
+
+    def test_report_json_is_strict(self, tmp_path):
+        rep = Report(command="solve")
+        rep.checks.append(make_check("a", float("nan"), 1e-8))
+        with pytest.raises(ValueError):
+            rep.to_json()
+        cfg = write_config(tmp_path, SMALL_SOLVE)
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        json.loads((tmp_path / "solve_report.json").read_text(), parse_constant=reject)
 
     def test_csv_determinism(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SOLVE)

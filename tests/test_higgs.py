@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcvortex import geometry as geo
-from dcvortex import higgs
+from dcvortex import higgs, vortex
 from dcvortex.errors import ConstraintError, DomainError
 
 from conftest import random_admissible_quadruplet, random_metric_pair
@@ -70,6 +70,36 @@ class TestChernCurvature:
         bad = geo.constant_field(g, [[-1.0]])
         with pytest.raises(DomainError):
             higgs.chern_curvature(bad, (0,))
+
+
+class TestMetricChecks:
+    """The solver skips the metric check on its own iterates; the public entry points keep it."""
+
+    BAD = {
+        "negative": np.diag([1.0, -1.0]),
+        "singular": np.diag([1.0, 0.0]),
+        "non-Hermitian": np.array([[1.0, 0.5], [0.0, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_bad_metric_rejected(self, kind):
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(
+            g, (0, 0), (0,),
+            geo.zero_field(g, 2, 2, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 2), geo.constant_field(g, [[1.0], [0.0]]),
+        ).validate()
+        c = vortex.constants_from_sigma(2, 2, 1, 0, 0)
+        bad = geo.constant_field(g, self.BAD[kind])
+        pair = higgs.MetricPair(bad, geo.identity_field(g, 1))
+        with pytest.raises(DomainError):
+            higgs.chern_curvature(bad, (0, 0))
+        with pytest.raises(DomainError):
+            pair.validate()
+        with pytest.raises(DomainError):
+            vortex.residual(q, pair, c)
+        # the same data pass once the metric is fixed
+        vortex.residual(q, higgs.trivial_metrics(q), c)
 
 
 class TestAdjoints:
@@ -211,6 +241,36 @@ class TestQuadrupletConstraints:
         res = higgs.holomorphy_residuals(q)
         assert res.phi == pytest.approx(np.pi, rel=1e-10)
         with pytest.raises(ConstraintError):
+            q.validate()
+
+    @pytest.mark.parametrize("p, q_", [(8, 0), (0, 8), (8, 8)])
+    def test_nyquist_mode_rejected(self, p, q_):
+        # (-1)^i is not holomorphic, but the spectral dbar zeroes the Nyquist
+        # wavenumber and reads 0 on it
+        g = geo.TorusGrid(16)
+        q = higgs.QuadrupletSpec(
+            g, (0,), (0,),
+            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1),
+            geo.mode_field(g, p, q_),
+        )
+        assert geo.dbar(q.psi).sup_norm() < 1e-12
+        assert higgs.holomorphy_residuals(q).psi == pytest.approx(8 * np.pi, rel=1e-12)
+        with pytest.raises(ConstraintError):
+            q.validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_field_rejected(self, value):
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(
+            g, (0,), (0,),
+            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1),
+            geo.constant_field(g, [[value]]),
+        )
+        with pytest.raises(ConstraintError, match="non-finite"):
             q.validate()
 
     def test_composition_constraint_enforced(self):
