@@ -55,6 +55,7 @@ from .reduction import (  # noqa: F401
     he_residual_product,
     integrability_residual,
     iota_roundtrip,
+    product_residual_blocks,
 )
 from .hyperkahler import (  # noqa: F401
     Configuration,

@@ -131,7 +131,9 @@ def cmd_verify_reduction(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Repo
         q, h, sigma, n_points=cfg.n_product_points, rng=rng, charts=charts
     )
     he = reduction.he_residual_product(assembled, c)
-    integ = reduction.integrability_residual(q, sigma, rng=rng, charts=charts)
+    integ = reduction.integrability_residual(
+        q, sigma, n_points=cfg.n_product_points, rng=rng, charts=charts
+    )
     report = Report(
         command="verify-reduction",
         seed=seed,

@@ -146,6 +146,8 @@ def parse_config(path) -> RunConfig:
         cfg.n = parser.getint("grid", "n", fallback=cfg.n)
         cfg.n_radial = parser.getint("grid", "n_radial", fallback=cfg.n_radial)
         cfg.n_angular = parser.getint("grid", "n_angular", fallback=cfg.n_angular)
+        if min(cfg.n_radial, cfg.n_angular) < 8:
+            raise ConfigError("[grid] n_radial and n_angular must be >= 8")
 
     if parser.has_section("bundles"):
         if parser.has_option("bundles", "degrees1"):
@@ -189,9 +191,13 @@ def parse_config(path) -> RunConfig:
 
     if parser.has_section("reduction"):
         cfg.n_product_points = parser.getint("reduction", "n_points", fallback=cfg.n_product_points)
+        if cfg.n_product_points < 1:
+            raise ConfigError("[reduction] n_points must be >= 1")
 
     if parser.has_section("hk"):
         cfg.hk_draws = parser.getint("hk", "draws", fallback=cfg.hk_draws)
+        if cfg.hk_draws < 1:
+            raise ConfigError("[hk] draws must be >= 1")
 
     if parser.has_section("stability"):
         if parser.has_option("stability", "catalog"):

@@ -1,24 +1,26 @@
 """Invariant block data on X x P^1 and the numerical reduction equivalences.
 
-The product bundle is F = p*E1 + p*E2 (x) q*O(2) with metric
-p*h1 + p*h2 (x) q*h2; the coupling psi rides the invariant (0,1)-form
+The product bundle is F = p*E1 + p*E2 (x) q*O(2) with block metric
+H = diag(h1, h2 h^(2)); the coupling psi rides the invariant (0,1)-form
 alpha of O(-2), phi rides the invariant (1,0)-form beta of O(2).  All P^1
 data are closed-form in the two unit-disk charts; quadrature only
 integrates and samples.
 
 Contraction weights: Omega_sigma = (sigma/2) omega + omega_P1, so
-Lambda_sigma(p*omega) = 2/sigma and Lambda_sigma(q*omega_P1) = 1.  An
-alternative weight pair (2/sigma, 1/sigma), corresponding to an extra
-factor sigma on the P^1 form, is kept available as weights="alt"; it
-demonstrably fails the Hermitian-Einstein equivalence, which is how the
-default was selected.
+Lambda_sigma(p*omega) = 2/sigma and Lambda_sigma(q*omega_P1) = 1.
+
+The product checks make one array pass over N sample points (torus
+index, chart, P^1 coordinate), drawn in bulk: `assemble_F` builds the
+(N, r, r) block arrays of F, `product_residual_blocks` reads them with
+batched matmuls and adds the X part of the curvature from
+`higgs.residual_terms`, and the finite-difference defects of alpha and
+beta run on the coordinate array once per chart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from . import higgs
 from .errors import ConstraintError, DomainError
 from .geometry import P1Chart, TorusGrid
 from .higgs import MetricPair, QuadrupletSpec
-from .stability import QuadInvariants, mu_sigma
 from .vortex import VortexConstants
 
 TWO_PI = 2.0 * np.pi
@@ -157,18 +158,8 @@ def raw_alpha_wedge(zeta):
     return -_wedge_scalar(zeta)
 
 
-def raw_alpha_wedge_rev(zeta):
-    """A* ^ A scalar (psi* psi side)."""
-    return +_wedge_scalar(zeta)
-
-
-def raw_beta_wedge(zeta):
-    """B ^ B* scalar (phi phi* side) for B = phi (x) beta."""
-    return +_wedge_scalar(zeta)
-
-
 def raw_beta_wedge_rev(zeta):
-    """B* ^ B scalar (phi* phi side)."""
+    """B* ^ B = (this scalar) phi* phi dzeta^dzetabar for B = phi (x) beta."""
     return -_wedge_scalar(zeta)
 
 
@@ -209,111 +200,120 @@ def calibrate_alpha_beta(
     return InvariantForms(float(np.sqrt(c_alpha_sq)), float(np.sqrt(c_beta_sq)), raw_ratio)
 
 
-def _dcov_4th_order(f, zeta: complex, delta: float = 1e-3) -> complex:
-    """4th-order central d/dzeta of a chart function of (zeta, zetabar)."""
+def _wirtinger(f, zeta, bar: bool = False, delta: float = 1e-3) -> np.ndarray:
+    """4th-order central d/dzeta (d/dzetabar if bar) of a chart function of (zeta, zetabar)."""
     def d_along(direction):
         vals = [f(zeta + k * direction * delta) for k in (-2, -1, 1, 2)]
         return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * delta)
 
-    du = d_along(1.0)
-    dv = d_along(1.0j)
-    return 0.5 * (du - 1j * dv)
+    return 0.5 * (d_along(1.0) + (1j if bar else -1j) * d_along(1.0j))
 
 
-def _dcov_bar_4th_order(f, zeta: complex, delta: float = 1e-3) -> complex:
-    def d_along(direction):
-        vals = [f(zeta + k * direction * delta) for k in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * delta)
-
-    du = d_along(1.0)
-    dv = d_along(1.0j)
-    return 0.5 * (du + 1j * dv)
+def _log_h_m2(zeta):
+    return np.log(P1LineData(-2).metric(zeta))
 
 
-def covariant_alpha_defect(zeta: complex, chart_id: str = "z") -> complex:
+def covariant_alpha_defect(chart_id: str, zeta) -> np.ndarray:
     """Chern-covariant del of alpha in chart (vanishes: alpha is invariant)."""
-    h_m2 = P1LineData(-2)
-
     def coeff(z):
         return alpha_coeff(chart_id, z)
 
-    d_raw = _dcov_4th_order(coeff, zeta)
-    log_h = lambda z: np.log(h_m2.metric(z))
-    d_log = _dcov_4th_order(log_h, zeta)
-    return d_raw + coeff(zeta) * d_log
+    return _wirtinger(coeff, zeta) + coeff(zeta) * _wirtinger(_log_h_m2, zeta)
 
 
-def covariant_beta_star_defect(zeta: complex, chart_id: str = "z") -> complex:
+def covariant_beta_star_defect(chart_id: str, zeta) -> np.ndarray:
     """Chern-covariant del of the adjoint-side O(-2)-valued scalar of B*."""
-    h_m2 = P1LineData(-2)
-
     def coeff(z):
         return np.conj(beta_coeff(chart_id, z)) * P1LineData(2).metric(z)
 
-    d_raw = _dcov_4th_order(coeff, zeta)
-    d_log = _dcov_4th_order(lambda z: np.log(h_m2.metric(z)), zeta)
-    return d_raw + coeff(zeta) * d_log
+    return _wirtinger(coeff, zeta) + coeff(zeta) * _wirtinger(_log_h_m2, zeta)
 
 
-def dbar_beta_defect(zeta: complex, chart_id: str = "z") -> complex:
+def dbar_beta_defect(chart_id: str, zeta) -> np.ndarray:
     """dbar of beta's chart coefficient (holomorphic frame, so plain dbar)."""
-    return _dcov_bar_4th_order(lambda z: beta_coeff(chart_id, z), zeta)
+    return _wirtinger(lambda z: beta_coeff(chart_id, z), zeta, bar=True)
 
 
-def dbar_alpha_star_defect(zeta: complex, chart_id: str = "z") -> complex:
+def dbar_alpha_star_defect(chart_id: str, zeta) -> np.ndarray:
     """dbar of the O(2)-valued scalar of A* (constant 1, plain dbar)."""
     def coeff(z):
         return np.conj(alpha_coeff(chart_id, z)) * (1.0 + np.abs(z) ** 2) ** 2
 
-    return _dcov_bar_4th_order(coeff, zeta)
+    return _wirtinger(coeff, zeta, bar=True)
+
+
+# -- product sample points and block arrays ----------------------------------------
+
+class ProductSamples(NamedTuple):
+    """N product sample points, each in one P^1 chart."""
+
+    ij: np.ndarray      # (N, 2) torus grid indices
+    in_w: np.ndarray    # (N,) True where zeta is a w-chart coordinate
+    zeta: np.ndarray    # (N,) P^1 chart coordinate in the closed unit disk
+
+
+def random_product_points(grid: TorusGrid, n_points: int, rng) -> ProductSamples:
+    """Uniform torus indices, a fair chart choice and zeta uniform on the unit disk."""
+    if n_points < 1:
+        raise DomainError("product checks need at least one sample point")
+    ij = rng.integers(grid.n, size=(n_points, 2))
+    in_w = rng.random(n_points) >= 0.5
+    zeta = np.sqrt(rng.random(n_points)) * np.exp(2j * np.pi * rng.random(n_points))
+    return ProductSamples(ij, in_w, zeta)
+
+
+def _per_chart(f, in_w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """f(chart_id, zeta) at every sample, evaluated once per chart."""
+    out = np.empty(zeta.shape, dtype=complex)
+    for chart_id, mask in (("z", ~in_w), ("w", in_w)):
+        out[mask] = f(chart_id, zeta[mask])
+    return out
+
+
+def _calibrated_forms(forms: InvariantForms, in_w: np.ndarray, zeta: np.ndarray):
+    """c_alpha alpha and c_beta beta at every sample, each in its own chart, (N,)."""
+    return (
+        forms.c_alpha * _per_chart(alpha_coeff, in_w, zeta),
+        forms.c_beta * _per_chart(beta_coeff, in_w, zeta),
+    )
+
+
+def _block_matrix(n: int, r1: int, r2: int, blocks: dict) -> np.ndarray:
+    """(n, r1+r2, r1+r2) matrices from blocks keyed (row, col) in {0, 1}^2, zero elsewhere."""
+    cut = (slice(None, r1), slice(r1, None))
+    out = np.zeros((n, r1 + r2, r1 + r2), dtype=complex)
+    for (row, col), value in blocks.items():
+        out[:, cut[row], cut[col]] = value
+    return out
+
+
+def _pointwise_sup(values: np.ndarray) -> np.ndarray:
+    """Sup norm of each matrix in a (..., r, s) stack."""
+    return np.abs(values).max(axis=(-2, -1))
 
 
 # -- product assembly ----------------------------------------------------------
 
-LAMBDA_WEIGHT_CASES = {
-    # (Lambda_sigma(p*omega), Lambda_sigma(q*omega_P1)) as functions of sigma
-    "main": lambda sigma: (2.0 / sigma, 1.0),
-    "alt": lambda sigma: (2.0 / sigma, 1.0 / sigma),
-}
-
-
-@dataclass
-class ProductPointData:
-    """Evaluation of the block objects at one (torus point, P^1 point) pair."""
-
-    torus_index: tuple[int, int]
-    chart_id: str
-    zeta: complex
-    dbar_off: np.ndarray          # (r1+r2)^2, the psi (x) alpha coupling block
-    theta_blocks: np.ndarray      # X-type (1,0) diagonal blocks
-    theta_off: np.ndarray         # P^1-type (1,0) phi (x) beta block
-    metric: np.ndarray            # block metric p*h1 + p*h2 (x) q*h^(2)
-    lambda_weights: tuple[float, float]
+def lambda_weights(sigma: float) -> tuple[float, float]:
+    """(Lambda_sigma(p*omega), Lambda_sigma(q*omega_P1)) for Omega_sigma = (sigma/2) omega + omega_P1."""
+    return 2.0 / sigma, 1.0
 
 
 @dataclass
 class AssembledProduct:
+    """Block data of F at N product sample points, as (N, r, r) arrays, r = r1 + r2."""
+
     q: QuadrupletSpec
     h: MetricPair
     sigma: float
     forms: InvariantForms
     charts: tuple[P1Chart, P1Chart]
-    points: list[ProductPointData]
-    weights_case: str
-    # torus-grid caches
-    v1: np.ndarray = field(repr=False, default=None)
-    v2: np.ndarray = field(repr=False, default=None)
-    couplings: tuple = field(repr=False, default=None)
-
-
-def random_product_points(grid: TorusGrid, n_points: int, rng) -> list[tuple[tuple[int, int], str, complex]]:
-    out = []
-    for _ in range(n_points):
-        i, j = int(rng.integers(grid.n)), int(rng.integers(grid.n))
-        chart = "z" if rng.random() < 0.5 else "w"
-        zeta = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        out.append(((i, j), chart, complex(zeta)))
-    return out
+    ij: np.ndarray          # (N, 2) torus grid indices
+    in_w: np.ndarray        # (N,) w-chart mask
+    points: np.ndarray      # (N,) P^1 chart coordinates zeta
+    dbar_off: np.ndarray    # dzetabar coefficient: psi (x) c_alpha alpha in block (1,2)
+    theta_off: np.ndarray   # dzeta coefficient: phi (x) c_beta beta in block (2,1)
+    metric: np.ndarray      # H = diag(h1, h2 h^(2)(zeta))
 
 
 def assemble_F(
@@ -323,14 +323,11 @@ def assemble_F(
     n_points: int = 200,
     rng=None,
     charts: Optional[tuple[P1Chart, P1Chart]] = None,
-    weights_case: str = "main",
     validate: bool = True,
 ) -> AssembledProduct:
-    """Evaluate the block bundle data of F at product sample points."""
+    """Evaluate the block bundle data of F at n_points product sample points."""
     if sigma <= 0:
         raise DomainError("assembly needs sigma > 0")
-    if weights_case not in LAMBDA_WEIGHT_CASES:
-        raise DomainError(f"unknown weights case {weights_case!r}")
     if validate:
         q.validate()
         h.validate()
@@ -338,42 +335,25 @@ def assemble_F(
         charts = geo.p1_quadrature()
     rng = rng or np.random.default_rng(0)
     forms = calibrate_alpha_beta(sigma, charts)
-    weights = LAMBDA_WEIGHT_CASES[weights_case](sigma)
-
-    lam1, lam2, *couplings = higgs.residual_terms(q, h.h1.values, h.h2.values)
-
+    ij, in_w, zeta = random_product_points(q.grid, n_points, rng)
+    i, j = ij.T
+    a, b = (x[:, None, None] for x in _calibrated_forms(forms, in_w, zeta))
+    line2 = P1LineData(2).metric(zeta)[:, None, None]
     r1, r2 = q.r1, q.r2
-    total = r1 + r2
-    points = []
-    for (ij, chart, zeta) in random_product_points(q.grid, n_points, rng):
-        i, j = ij
-        a = forms.c_alpha * alpha_coeff(chart, zeta)
-        b = forms.c_beta * beta_coeff(chart, zeta)
-        dbar_off = np.zeros((total, total), dtype=complex)
-        dbar_off[:r1, r1:] = q.psi.values[i, j] * a
-        theta_blocks = np.zeros((total, total), dtype=complex)
-        theta_blocks[:r1, :r1] = q.theta1.values[i, j]
-        theta_blocks[r1:, r1:] = q.theta2.values[i, j]
-        theta_off = np.zeros((total, total), dtype=complex)
-        theta_off[r1:, :r1] = q.phi.values[i, j] * b
-        metric = np.zeros((total, total), dtype=complex)
-        metric[:r1, :r1] = h.h1.values[i, j]
-        metric[r1:, r1:] = h.h2.values[i, j] * P1LineData(2).metric(zeta)
-        points.append(
-            ProductPointData(ij, chart, zeta, dbar_off, theta_blocks, theta_off, metric, weights)
-        )
-    return AssembledProduct(q, h, float(sigma), forms, charts, points, weights_case, lam1, lam2, tuple(couplings))
+    dbar_off = _block_matrix(n_points, r1, r2, {(0, 1): q.psi.values[i, j] * a})
+    theta_off = _block_matrix(n_points, r1, r2, {(1, 0): q.phi.values[i, j] * b})
+    metric = _block_matrix(n_points, r1, r2, {(0, 0): h.h1.values[i, j], (1, 1): h.h2.values[i, j] * line2})
+    return AssembledProduct(q, h, float(sigma), forms, charts, ij, in_w, zeta, dbar_off, theta_off, metric)
 
 
-def volume_product(sigma: float, charts: Optional[tuple[P1Chart, P1Chart]] = None, weights_case: str = "main") -> float:
+def volume_product(sigma: float, charts: Optional[tuple[P1Chart, P1Chart]] = None) -> float:
     """Vol(X x P^1, Omega_sigma) by quadrature (the X factor has unit area)."""
     if charts is None:
         charts = geo.p1_quadrature()
     ones = lambda z: np.ones(np.asarray(z).shape)
     fs_mass = geo.fs_integrate(charts, ones, ones).real
-    if weights_case == "alt":
-        return 0.5 * sigma * sigma * fs_mass
-    return 0.5 * sigma * fs_mass
+    wx, wp = lambda_weights(sigma)
+    return fs_mass / (wx * wp)
 
 
 @dataclass
@@ -385,54 +365,66 @@ class HEProductReport:
     n_points: int
 
 
+def product_residual_blocks(assembled: AssembledProduct, lam: complex) -> np.ndarray:
+    """Lambda_sigma(F_H + [theta_F, theta_F*]) - lam Id at every sample point, (N, r, r).
+
+    The dzeta^dzetabar part is read off the assembled blocks B = dbar_off and
+    P = theta_off, with X* = H^-1 X^dagger H: B B* - B* B + P P* - P* P plus
+    the curvature of h^(2) on the second block, contracted by lambda_p1.  The
+    X part is Lambda(F_{h_i} + [theta_i, theta_i^dagger]) from
+    `higgs.residual_terms` at the sampled torus points, weighted 2/sigma.
+    """
+    q, r1 = assembled.q, assembled.q.r1
+    metric = assembled.metric
+    metric_inv = np.linalg.inv(metric)
+
+    def star(x):
+        return metric_inv @ geo.adjoint_values(x) @ metric
+
+    b, p = assembled.dbar_off, assembled.theta_off
+    b_star, p_star = star(b), star(p)
+    p1_part = b @ b_star - b_star @ b + p @ p_star - p_star @ p
+    zeta = assembled.points[:, None, None]
+    p1_part[:, r1:, r1:] += P1LineData(2).curvature_coeff(zeta) * np.eye(q.r2)
+    wx, wp = lambda_weights(assembled.sigma)
+    out = lambda_p1(p1_part, zeta, wp)
+    lam1, lam2 = higgs.residual_terms(q, assembled.h.h1.values, assembled.h.h2.values)[:2]
+    i, j = assembled.ij.T
+    out[:, :r1, :r1] += wx * lam1[i, j]
+    out[:, r1:, r1:] += wx * lam2[i, j]
+    return out - lam * np.eye(q.r1 + q.r2)
+
+
 def he_residual_product(assembled: AssembledProduct, c: VortexConstants, lam: Optional[complex] = None) -> HEProductReport:
     """Sup over sample points of |Lambda_sigma(F + [theta_F, theta_F*]) - lambda Id|.
 
-    Diagonal blocks carry the content; the off-diagonal Lambda_sigma blocks
-    are reported separately (they vanish because every off-diagonal term is
-    a mixed X/P^1 form, up to the covariant-derivative defects of alpha and
-    beta which are evaluated numerically here).
+    The residual is that of `product_residual_blocks`, whose off-diagonal
+    blocks vanish.  The off-diagonal Lambda_sigma content is reported
+    separately: every off-diagonal term is a mixed X/P^1 form, up to the
+    covariant-derivative defects of alpha and beta evaluated here.
     """
     sigma = assembled.sigma
-    wx, wp = LAMBDA_WEIGHT_CASES[assembled.weights_case](sigma)
+    wx, wp = lambda_weights(sigma)
     if lam is None:
-        vol = volume_product(sigma, assembled.charts, assembled.weights_case)
+        vol = volume_product(sigma, assembled.charts)
         deg = c.d1 + c.d2 + sigma * c.r2
         lam = -TWO_PI * 1j / vol * deg / (c.r1 + c.r2)
-    phis_phi, phi_phis, psi_psis, psis_psi = assembled.couplings
-    ca2 = assembled.forms.c_alpha ** 2
-    cb2 = assembled.forms.c_beta ** 2
-    line2 = P1LineData(2)
+    sup_diag = geo.sup_norm(product_residual_blocks(assembled, lam))
 
-    sup_diag = 0.0
+    i, j = assembled.ij.T
+    forms, zeta = assembled.forms, assembled.points
+    psi_scale = forms.c_alpha * _pointwise_sup(assembled.q.psi.values[i, j])
+    phi_scale = forms.c_beta * _pointwise_sup(assembled.q.phi.values[i, j])
     sup_off = 0.0
-    for p in assembled.points:
-        i, j = p.torus_index
-        zeta = p.zeta
-        # block (1,1): wx V1 - Lam(A^A*) + Lam(B*^B)
-        d11 = wx * assembled.v1[i, j]
-        d11 = d11 - lambda_p1(ca2 * raw_alpha_wedge(zeta), zeta, wp) * psi_psis[i, j]
-        d11 = d11 + lambda_p1(cb2 * raw_beta_wedge_rev(zeta), zeta, wp) * phis_phi[i, j]
-        d11 = d11 - lam * np.eye(assembled.q.r1)
-        # block (2,2): wx V2 + curvature of h^(2) - Lam(A*^A) + Lam(B^B*)
-        d22 = wx * assembled.v2[i, j]
-        d22 = d22 + lambda_p1(line2.curvature_coeff(zeta), zeta, wp) * np.eye(assembled.q.r2)
-        d22 = d22 - lambda_p1(ca2 * raw_alpha_wedge_rev(zeta), zeta, wp) * psis_psi[i, j]
-        d22 = d22 + lambda_p1(cb2 * raw_beta_wedge(zeta), zeta, wp) * phi_phis[i, j]
-        d22 = d22 - lam * np.eye(assembled.q.r2)
-        sup_diag = max(sup_diag, geo.sup_norm(d11), geo.sup_norm(d22))
-
-        # off-diagonal Lambda content: covariant-derivative defects of the forms
-        defects = (
-            abs(covariant_alpha_defect(zeta, p.chart_id)) * geo.sup_norm(assembled.q.psi.values[i, j]) * assembled.forms.c_alpha,
-            abs(dbar_alpha_star_defect(zeta, p.chart_id)) * geo.sup_norm(assembled.q.psi.values[i, j]) * assembled.forms.c_alpha,
-            abs(dbar_beta_defect(zeta, p.chart_id)) * geo.sup_norm(assembled.q.phi.values[i, j]) * assembled.forms.c_beta,
-            abs(covariant_beta_star_defect(zeta, p.chart_id)) * geo.sup_norm(assembled.q.phi.values[i, j]) * assembled.forms.c_beta,
-        )
-        off = max(abs(lambda_p1(d, zeta, wp)) for d in defects)
-        sup_off = max(sup_off, off)
-
-    return HEProductReport(sup_diag, sup_off, lam, 2.0 / sigma, len(assembled.points))
+    for defect, scale in (
+        (covariant_alpha_defect, psi_scale),
+        (dbar_alpha_star_defect, psi_scale),
+        (dbar_beta_defect, phi_scale),
+        (covariant_beta_star_defect, phi_scale),
+    ):
+        d = np.abs(_per_chart(defect, assembled.in_w, zeta)) * scale
+        sup_off = max(sup_off, geo.sup_norm(lambda_p1(d, zeta, wp)))
+    return HEProductReport(sup_diag, sup_off, lam, wx, len(zeta))
 
 
 @dataclass
@@ -464,38 +456,22 @@ def integrability_residual(
     rng = rng or np.random.default_rng(0)
     forms = calibrate_alpha_beta(sigma, charts)
     res = higgs.holomorphy_residuals(q)
-    sup_t1, sup_t2 = res.theta1, res.theta2
+    psi, phi = q.psi.values, q.phi.values
+    theta1, theta2 = q.theta1.values, q.theta2.values
 
-    dbar_psi = geo.dbar(q.psi).values
-    twist_psi = q.theta1.values @ q.psi.values - q.psi.values @ q.theta2.values
-    dbar_phi = geo.dbar(q.phi).values
-    twist_phi = q.theta2.values @ q.phi.values - q.phi.values @ q.theta1.values
-    phi_psi = q.phi.values @ q.psi.values
-    psi_phi = q.psi.values @ q.phi.values
+    ij, in_w, zeta = random_product_points(q.grid, n_points, rng)
+    i, j = ij.T
+    a, b = np.abs(_calibrated_forms(forms, in_w, zeta))
 
-    sup_psi = 0.0
-    sup_phi = 0.0
-    sup_phipsi = 0.0
-    sup_psiphi = 0.0
-    for (ij, chart, zeta) in random_product_points(q.grid, n_points, rng):
-        i, j = ij
-        a = abs(forms.c_alpha * alpha_coeff(chart, zeta))
-        b = abs(forms.c_beta * beta_coeff(chart, zeta))
-        ab = a * b  # |alpha ^ beta| coefficient magnitude
-        sup_psi = max(sup_psi, a * geo.sup_norm(dbar_psi[i, j]), a * geo.sup_norm(twist_psi[i, j]))
-        sup_phi = max(sup_phi, b * geo.sup_norm(dbar_phi[i, j]), b * geo.sup_norm(twist_phi[i, j]))
-        sup_phipsi = max(sup_phipsi, ab * geo.sup_norm(phi_psi[i, j]))
-        sup_psiphi = max(sup_psiphi, ab * geo.sup_norm(psi_phi[i, j]))
+    def sup_at(weight, values):
+        return geo.sup_norm(weight * _pointwise_sup(values[i, j]))
 
-    total = max(sup_t1, sup_t2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
-    return IntegrabilityReport(total, sup_t1, sup_t2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
-
-
-# -- block-bundle degree arithmetic ----------------------------------------------
-
-def block_bundle_slope(inv: QuadInvariants, sigma) -> Fraction:
-    """Slope of F' = p*E1' + p*E2' (x) q*O(2): (d1 + d2 + sigma r2)/(r1 + r2)."""
-    return mu_sigma(inv, sigma)
+    sup_psi = max(sup_at(a, geo.dbar(q.psi).values), sup_at(a, theta1 @ psi - psi @ theta2))
+    sup_phi = max(sup_at(b, geo.dbar(q.phi).values), sup_at(b, theta2 @ phi - phi @ theta1))
+    sup_phipsi = sup_at(a * b, phi @ psi)  # |alpha ^ beta| coefficient magnitude
+    sup_psiphi = sup_at(a * b, psi @ phi)
+    total = max(res.theta1, res.theta2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
+    return IntegrabilityReport(total, res.theta1, res.theta2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
 
 
 # -- invariant connection round trip --------------------------------------------
@@ -523,40 +499,38 @@ class InvariantConnectionData:
         return self
 
 
-def _pack_connection(data: InvariantConnectionData, sigma: float, samples, forms: InvariantForms):
-    """Block coefficients of the invariant connection at product sample points."""
-    r1 = data.a1[0].shape[-1]
-    r2 = data.a2[0].shape[-1]
-    total = r1 + r2
-    packed = []
-    for (ij, chart, zeta) in samples:
-        i, j = ij
-        a_val = forms.c_alpha * alpha_coeff(chart, zeta)
-        b_val = forms.c_beta * beta_coeff(chart, zeta)
-        # unitary part: X-coefficients on the diagonal, psi (x) alpha coupling
-        nab_c = np.zeros((total, total), dtype=complex)
-        nab_d = np.zeros((total, total), dtype=complex)
-        nab_c[:r1, :r1] = data.a1[0][i, j]
-        nab_c[r1:, r1:] = data.a2[0][i, j]
-        nab_d[:r1, :r1] = data.a1[1][i, j]
-        nab_d[r1:, r1:] = data.a2[1][i, j]
-        coupling_01 = data.psi[i, j] * a_val                       # dzetabar block (1,2)
-        coupling_10 = -geo.adjoint_values(data.psi[i, j]) * np.conj(a_val) * (1 + abs(zeta) ** 2) ** 2
-        # skew part: X Psi_i on the diagonal, phi (x) beta coupling
-        skw_c = np.zeros((total, total), dtype=complex)
-        skw_d = np.zeros((total, total), dtype=complex)
-        skw_c[:r1, :r1] = data.psi1[0][i, j]
-        skw_c[r1:, r1:] = data.psi2[0][i, j]
-        skw_d[:r1, :r1] = data.psi1[1][i, j]
-        skw_d[r1:, r1:] = data.psi2[1][i, j]
-        phi_10 = data.phi[i, j] * b_val                            # dzeta block (2,1)
-        phi_01 = -geo.adjoint_values(data.phi[i, j]) * np.conj(b_val) * P1LineData(2).metric(zeta)
-        packed.append(
-            dict(ij=ij, chart=chart, zeta=zeta, nab_c=nab_c, nab_d=nab_d,
-                 coupling_01=coupling_01, coupling_10=coupling_10,
-                 skw_c=skw_c, skw_d=skw_d, phi_10=phi_10, phi_01=phi_01, r1=r1, r2=r2)
-        )
-    return packed
+def _pack_connection(data: InvariantConnectionData, samples: ProductSamples, a, b):
+    """Block form of the invariant connection at product sample points.
+
+    Returns the unitary part and the skew (Higgs) part, each a dict of
+    (N, r, r) coefficients of dz, dzbar, dzeta and dzetabar: the X
+    components on the diagonal, psi (x) alpha and phi (x) beta off it, each
+    with its skew partner for the unit metrics on E1 and E2.  a and b are
+    the calibrated alpha and beta coefficients at the samples, (N, 1, 1).
+    """
+    i, j = samples.ij.T
+    n = len(samples.zeta)
+    r1, r2 = data.a1[0].shape[-1], data.a2[0].shape[-1]
+    line2 = P1LineData(2).metric(samples.zeta)[:, None, None]
+    adj = geo.adjoint_values
+    psi, phi = data.psi[i, j], data.phi[i, j]
+
+    def diagonal(first, second, k):
+        return _block_matrix(n, r1, r2, {(0, 0): first[k][i, j], (1, 1): second[k][i, j]})
+
+    unitary = {
+        "dz": diagonal(data.a1, data.a2, 0),
+        "dzbar": diagonal(data.a1, data.a2, 1),
+        "dzetabar": _block_matrix(n, r1, r2, {(0, 1): psi * a}),
+        "dzeta": _block_matrix(n, r1, r2, {(1, 0): -adj(psi) * np.conj(a) / line2}),
+    }
+    skew = {
+        "dz": diagonal(data.psi1, data.psi2, 0),
+        "dzbar": diagonal(data.psi1, data.psi2, 1),
+        "dzeta": _block_matrix(n, r1, r2, {(1, 0): phi * b}),
+        "dzetabar": _block_matrix(n, r1, r2, {(0, 1): -adj(phi) * np.conj(b) * line2}),
+    }
+    return unitary, skew
 
 
 def iota_roundtrip(
@@ -567,41 +541,36 @@ def iota_roundtrip(
     rng=None,
     atol: float = 1e-12,
 ) -> bool:
-    """Assemble the invariant-connection block form, decompose, compare exactly."""
+    """Assemble the invariant-connection block form, decompose, compare exactly.
+
+    Every component must come back, and the packed form must be
+    skew-Hermitian for the block metric H = diag(1, h^(2)): each dzbar
+    (dzeta) coefficient is minus the H-adjoint of the dz (dzetabar) one.
+    """
     data.validate()
     rng = rng or np.random.default_rng(0)
     n = data.a1[0].shape[0]
     grid = grid or TorusGrid(n)
     forms = calibrate_alpha_beta(sigma)
     samples = random_product_points(grid, n_points, rng)
-    packed = _pack_connection(data, sigma, samples, forms)
+    a, b = (x[:, None, None] for x in _calibrated_forms(forms, samples.in_w, samples.zeta))
+    unitary, skew = _pack_connection(data, samples, a, b)
 
-    r1 = data.a1[0].shape[-1]
-    for rec in packed:
-        i, j = rec["ij"]
-        a_val = forms.c_alpha * alpha_coeff(rec["chart"], rec["zeta"])
-        b_val = forms.c_beta * beta_coeff(rec["chart"], rec["zeta"])
-        recovered = {
-            "a1_c": rec["nab_c"][:r1, :r1],
-            "a1_d": rec["nab_d"][:r1, :r1],
-            "a2_c": rec["nab_c"][r1:, r1:],
-            "a2_d": rec["nab_d"][r1:, r1:],
-            "p1_c": rec["skw_c"][:r1, :r1],
-            "p2_c": rec["skw_c"][r1:, r1:],
-            "psi": rec["coupling_01"] / a_val,
-            "phi": rec["phi_10"] / b_val,
-        }
-        expected = {
-            "a1_c": data.a1[0][i, j],
-            "a1_d": data.a1[1][i, j],
-            "a2_c": data.a2[0][i, j],
-            "a2_d": data.a2[1][i, j],
-            "p1_c": data.psi1[0][i, j],
-            "p2_c": data.psi2[0][i, j],
-            "psi": data.psi[i, j],
-            "phi": data.phi[i, j],
-        }
-        for key, exp in expected.items():
-            if not np.allclose(recovered[key], exp, rtol=1e-12, atol=atol):
-                return False
-    return True
+    i, j = samples.ij.T
+    r1, r2 = data.a1[0].shape[-1], data.a2[0].shape[-1]
+    e1, e2 = slice(None, r1), slice(r1, None)
+    pairs = [
+        (form[key][:, e, e], comp[k][i, j])
+        for form, first, second in ((unitary, data.a1, data.a2), (skew, data.psi1, data.psi2))
+        for k, key in enumerate(("dz", "dzbar"))
+        for e, comp in ((e1, first), (e2, second))
+    ]
+    pairs += [(unitary["dzetabar"][:, e1, e2] / a, data.psi[i, j]), (skew["dzeta"][:, e2, e1] / b, data.phi[i, j])]
+
+    line2 = P1LineData(2).metric(samples.zeta)[:, None, None]
+    metric = _block_matrix(n_points, r1, r2, {(0, 0): np.eye(r1), (1, 1): line2 * np.eye(r2)})
+    metric_inv = np.linalg.inv(metric)
+    for form in (unitary, skew):
+        for first, second in (("dz", "dzbar"), ("dzetabar", "dzeta")):
+            pairs.append((form[second], -metric_inv @ geo.adjoint_values(form[first]) @ metric))
+    return all(np.allclose(got, want, rtol=1e-12, atol=atol) for got, want in pairs)

@@ -118,7 +118,17 @@ class TestCommands:
         rc = cli.main(["verify-hk", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"])
         assert rc == 0
 
-    def test_verify_reduction_command(self, tmp_path):
+    def test_verify_reduction_command(self, tmp_path, monkeypatch):
+        from dcvortex import reduction
+
+        sample_sizes = []
+
+        def integrability(q, sigma, n_points, **kwargs):
+            sample_sizes.append(n_points)
+            return original(q, sigma, n_points, **kwargs)
+
+        original = reduction.integrability_residual
+        monkeypatch.setattr(reduction, "integrability_residual", integrability)
         text = SMALL_SOLVE + "\n[reduction]\nn_points = 40\n"
         cfg = write_config(tmp_path, text)
         rc = cli.main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "3"])
@@ -126,6 +136,9 @@ class TestCommands:
         report = json.loads((tmp_path / "out" / "verify_reduction_report.json").read_text())
         names = {c["name"] for c in report["checks"]}
         assert {"he_product_residual", "he_offdiagonal", "integrability", "fs_contraction_constant"} <= names
+        # both product checks use the configured sample count
+        assert report["verification"]["n_product_points"] == 40
+        assert sample_sizes == [40]
 
 
 class TestConfigHandling:
@@ -156,6 +169,21 @@ class TestConfigHandling:
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("verify-reduction", "[reduction]\nn_points = 0"),
+        ("verify-hk", "[hk]\ndraws = 0"),
+        ("verify-reduction", "[grid]\nn = 16\nn_radial = 0"),
+        ("verify-reduction", "[grid]\nn = 16\nn_angular = 7"),
+    ])
+    def test_empty_sample_exit_1(self, tmp_path, capsys, command, section):
+        # an empty sample would pass its checks vacuously
+        text = SMALL_SOLVE.replace("[grid]\nn = 16", "") + "\n" + section + "\n"
+        cfg = write_config(tmp_path, text)
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert section.split("\n")[-1].split()[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_shipped_configs_parse(self):

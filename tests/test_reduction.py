@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dcvortex import geometry as geo
-from dcvortex import higgs, reduction, stability, vortex
+from dcvortex import higgs, reduction, vortex
 from dcvortex.errors import ConstraintError, DomainError
 from dcvortex.reduction import InvariantConnectionData, P1LineData
 
-from conftest import psi_entry
+from conftest import psi_entry, random_hermitian_log
 
 
 RING = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -91,10 +91,22 @@ class TestAssemblyAndHE:
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=10)
-        for p in asm.points:
-            assert np.abs(p.dbar_off).max() == 0.0
-            assert np.abs(p.theta_off).max() == 0.0
-            assert p.metric[0, 1] == 0.0
+        assert asm.points.shape == (10,) and asm.ij.shape == (10, 2)
+        for blocks in (asm.dbar_off, asm.theta_off, asm.metric):
+            assert blocks.shape == (10, 2, 2)
+        assert np.abs(asm.dbar_off).max() == 0.0
+        assert np.abs(asm.theta_off).max() == 0.0
+        assert np.abs(asm.metric[:, 0, 1]).max() == 0.0
+        assert np.abs(asm.metric[:, 1, 0]).max() == 0.0
+
+    def test_empty_sample_rejected(self):
+        g = geo.TorusGrid(8)
+        q = psi_entry(g)
+        for n_points in (0, -5):
+            with pytest.raises(DomainError):
+                reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=n_points)
+            with pytest.raises(DomainError):
+                reduction.integrability_residual(q, 2.0, n_points=n_points)
 
     def test_flat_mismatched_constants_residual_is_lambda(self):
         # all-zero fields, d = 0, flat h solve only tau = 0; assembling with
@@ -111,15 +123,8 @@ class TestAssemblyAndHE:
         assert he.sup_diagonal == pytest.approx(2 * np.pi, rel=1e-9)
 
     def test_flat_degree_shifted_solution(self):
-        # d = (1, -1): flat metrics solve the tau = 1 system exactly, and the
-        # product Hermitian-Einstein residual vanishes with sigma = 2
-        g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (1,), (-1,),
-            geo.zero_field(g, 1, 1, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-        ).validate()
-        c = vortex.constants_from_tau(1, 1, 1, 1, -1)
+        # the product Hermitian-Einstein residual vanishes with sigma = 2
+        q, c = self._flat_shifted()
         assert c.sigma == Fraction(2) and c.tau_prime == Fraction(-1)
         h = higgs.trivial_metrics(q)
         ok, s1, s2 = vortex.is_solution(q, h, c, tol=1e-12)
@@ -129,19 +134,78 @@ class TestAssemblyAndHE:
         assert he.sup_diagonal < 1e-9
         assert he.sup_offdiagonal < 1e-8
 
-    def test_alternative_weights_fail_equivalence(self):
-        # the "(sigma/2) omega + sigma omega_P1" weight reading breaks the
-        # equivalence on the degree-shifted flat solution by |pi|
+    def _flat_shifted(self):
+        # d = (1, -1): flat metrics solve the tau = 1 system exactly
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (1,), (-1,),
             geo.zero_field(g, 1, 1, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
-        c = vortex.constants_from_tau(1, 1, 1, 1, -1)
-        asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=20, weights_case="alt")
+        return q, vortex.constants_from_tau(1, 1, 1, 1, -1)
+
+    def test_wrong_p1_weight_fails_equivalence(self, monkeypatch):
+        # reading Omega_sigma as (sigma/2) omega + sigma omega_P1 gives the
+        # P^1 weight 1/sigma; it breaks the equivalence on the degree-shifted
+        # flat solution by |pi|
+        q, c = self._flat_shifted()
+        monkeypatch.setattr(reduction, "lambda_weights", lambda sigma: (2.0 / sigma, 1.0 / sigma))
+        asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=20)
         he = reduction.he_residual_product(asm, c)
         assert he.sup_diagonal > 1.0
+
+    def test_wrong_alpha_fails_offdiagonal(self, monkeypatch):
+        # alpha with the wrong power of (1 + |zeta|^2) is not covariantly
+        # constant, so the off-diagonal check must see it
+        g = geo.TorusGrid(8)
+        q = psi_entry(g)
+        c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
+        monkeypatch.setattr(
+            reduction, "alpha_coeff",
+            lambda chart_id, zeta: (1.0 if chart_id == "z" else -1.0) / (1.0 + np.abs(zeta) ** 2),
+        )
+        asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=40)
+        he = reduction.he_residual_product(asm, c)
+        assert he.sup_offdiagonal > 1e-8
+
+    @pytest.mark.parametrize("sigma", [2, 3])
+    @pytest.mark.parametrize("degrees1, degrees2", [((0,), (0,)), ((0, 0), (0,))])
+    def test_product_blocks_are_rescaled_vortex_residual(self, sigma, degrees1, degrees2):
+        # the reduction identity, pointwise: for any metrics the diagonal
+        # blocks of the product residual are (2/sigma) (R1, R2) at the
+        # sampled torus points; the fields need not be holomorphic
+        from dcvortex import hyperkahler as hk
+
+        rng = np.random.default_rng(11 + sigma)
+        g = geo.TorusGrid(8)
+        r1, r2 = len(degrees1), len(degrees2)
+        q = higgs.QuadrupletSpec(
+            g, degrees1, degrees2,
+            geo.FieldOnTorus(g, geo.FORM_10, hk.random_smooth_matrix(g, r1, r1, rng)),
+            geo.FieldOnTorus(g, geo.FORM_10, hk.random_smooth_matrix(g, r2, r2, rng)),
+            geo.FieldOnTorus(g, geo.FUNCTION, hk.random_smooth_matrix(g, r2, r1, rng)),
+            geo.FieldOnTorus(g, geo.FUNCTION, hk.random_smooth_matrix(g, r1, r2, rng)),
+        )
+        s1 = random_hermitian_log(g, degrees1, rng, amplitude=1.0)
+        s2 = random_hermitian_log(g, degrees2, rng, amplitude=1.0)
+        if r1 == 2:
+            assert np.abs(s1[..., 0, 1]).max() > 0.1  # h1 is not diagonal
+        h = higgs.MetricPair(
+            geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(s1)),
+            geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(s2)),
+        )
+        c = vortex.constants_from_sigma(sigma, r1, r2, 0, 0)
+        asm = reduction.assemble_F(q, h, float(sigma), n_points=100, rng=rng, validate=False)
+        blocks = reduction.product_residual_blocks(asm, c.lambda_he)
+        res = vortex.residual(q, h, c)
+        i, j = asm.ij.T
+        expected = (2.0 / sigma) * res.R1.values[i, j], (2.0 / sigma) * res.R2.values[i, j]
+        scale = max(geo.sup_norm(e) for e in expected)
+        assert scale > 1.0  # a non-solution
+        assert geo.sup_norm(blocks[:, :r1, :r1] - expected[0]) <= 1e-9 * scale
+        assert geo.sup_norm(blocks[:, r1:, r1:] - expected[1]) <= 1e-9 * scale
+        assert geo.sup_norm(blocks[:, :r1, r1:]) <= 1e-9 * scale
+        assert geo.sup_norm(blocks[:, r1:, :r1]) <= 1e-9 * scale
 
     def test_nonpositive_sigma_rejected(self):
         g = geo.TorusGrid(8)
@@ -207,6 +271,40 @@ class TestIntegrability:
         rep = reduction.integrability_residual(q, 2.0)
         assert rep.psi_block > 1e-2
 
+    def test_matches_pointwise_loop(self):
+        # the array pass against a per-point loop over the same samples
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(
+            g, (0,), (0,),
+            geo.constant_field(g, [[1.0]], geo.FORM_10),
+            geo.constant_field(g, [[2.0]], geo.FORM_10),
+            geo.mode_field(g, 0, 1, 0.5),
+            geo.mode_field(g, 1, 0),
+        )
+        rep = reduction.integrability_residual(q, 3.0, n_points=30, rng=np.random.default_rng(4))
+        forms = reduction.calibrate_alpha_beta(3.0)
+        ij, in_w, zeta = reduction.random_product_points(g, 30, np.random.default_rng(4))
+        psi, phi = q.psi.values, q.phi.values
+        t1, t2 = q.theta1.values, q.theta2.values
+        dbar_psi, dbar_phi = geo.dbar(q.psi).values, geo.dbar(q.phi).values
+        sups = dict(psi_block=0.0, phi_block=0.0, phi_psi=0.0, psi_phi=0.0)
+        for (i, j), w, z in zip(ij, in_w, zeta):
+            chart = "w" if w else "z"
+            a = abs(forms.c_alpha * reduction.alpha_coeff(chart, z))
+            b = abs(forms.c_beta * reduction.beta_coeff(chart, z))
+            for key, value in (
+                ("psi_block", a * geo.sup_norm(dbar_psi[i, j])),
+                ("psi_block", a * geo.sup_norm(t1[i, j] @ psi[i, j] - psi[i, j] @ t2[i, j])),
+                ("phi_block", b * geo.sup_norm(dbar_phi[i, j])),
+                ("phi_block", b * geo.sup_norm(t2[i, j] @ phi[i, j] - phi[i, j] @ t1[i, j])),
+                ("phi_psi", a * b * geo.sup_norm(phi[i, j] @ psi[i, j])),
+                ("psi_phi", a * b * geo.sup_norm(psi[i, j] @ phi[i, j])),
+            ):
+                sups[key] = max(sups[key], value)
+        for key, value in sups.items():
+            assert value > 1e-2
+            assert getattr(rep, key) == pytest.approx(value, rel=1e-14)
+
     def test_broken_theta_holomorphy_detected(self):
         g = geo.TorusGrid(16)
         q = self._entry(
@@ -215,20 +313,6 @@ class TestIntegrability:
         )
         rep = reduction.integrability_residual(q, 2.0)
         assert rep.theta1 == pytest.approx(np.pi, rel=1e-10)
-
-
-class TestBlockSlopeArithmetic:
-    def test_block_slope_matches_mu_sigma(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            inv = stability.QuadInvariants(
-                int(rng.integers(0, 4)), int(rng.integers(0, 4)),
-                int(rng.integers(-5, 6)), int(rng.integers(-5, 6)),
-            )
-            if inv.total_rank() == 0:
-                continue
-            sigma = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5)))
-            assert reduction.block_bundle_slope(inv, sigma) == stability.mu_sigma(inv, sigma)
 
 
 class TestIotaRoundtrip:
