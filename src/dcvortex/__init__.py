@@ -10,7 +10,6 @@ from .geometry import (  # noqa: F401
     dbar,
     del_,
     integrate,
-    laplace,
     lambda_contract,
     p1_quadrature,
 )

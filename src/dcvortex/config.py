@@ -146,6 +146,8 @@ def parse_config(path) -> RunConfig:
         cfg.n = parser.getint("grid", "n", fallback=cfg.n)
         cfg.n_radial = parser.getint("grid", "n_radial", fallback=cfg.n_radial)
         cfg.n_angular = parser.getint("grid", "n_angular", fallback=cfg.n_angular)
+        if cfg.n < 4 or cfg.n % 2 != 0:
+            raise ConfigError(f"[grid] n must be even and >= 4, got {cfg.n}")
         if min(cfg.n_radial, cfg.n_angular) < 8:
             raise ConfigError("[grid] n_radial and n_angular must be >= 8")
 
@@ -174,8 +176,7 @@ def parse_config(path) -> RunConfig:
 
     if parser.has_section("solver"):
         s = cfg.solver
-        if parser.has_option("solver", "step"):
-            s.step = parser.getfloat("solver", "step")
+        s.step = parser.getfloat("solver", "step", fallback=s.step)
         s.max_iter = parser.getint("solver", "max_iter", fallback=s.max_iter)
         s.target_residual = parser.getfloat("solver", "target_residual", fallback=s.target_residual)
         s.patience = parser.getint("solver", "patience", fallback=s.patience)

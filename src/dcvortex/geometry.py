@@ -42,24 +42,19 @@ class TorusGrid:
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid resolution must be even and >= 4, got {self.n}")
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
-
     def coordinates(self):
         x = np.arange(self.n) / self.n
         return np.meshgrid(x, x, indexing="ij")
 
-    def wavenumbers(self, zero_nyquist: bool):
-        return _wavenumbers(self.n, zero_nyquist)
+    def wavenumbers(self):
+        return _wavenumbers(self.n)
 
 
 @lru_cache(maxsize=None)
-def _wavenumbers(n: int, zero_nyquist: bool):
+def _wavenumbers(n: int):
+    """2 pi times the FFT frequencies, with the Nyquist wavenumber set to 0."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-    if zero_nyquist:
-        k = k.copy()
-        k[n // 2] = 0.0
+    k[n // 2] = 0.0
     return k
 
 
@@ -91,9 +86,6 @@ class FieldOnTorus:
     @property
     def rank_in(self) -> int:
         return self.values.shape[3]
-
-    def copy(self) -> "FieldOnTorus":
-        return FieldOnTorus(self.grid, self.form_type, self.values.copy())
 
     def __add__(self, other: "FieldOnTorus") -> "FieldOnTorus":
         _check_same_type(self, other)
@@ -158,7 +150,7 @@ def omega_field(grid: TorusGrid, rank: int = 1) -> FieldOnTorus:
 # -- spectral derivatives ---------------------------------------------------
 
 def _axis_derivative(values: np.ndarray, n: int, axis: int) -> np.ndarray:
-    k = _wavenumbers(n, zero_nyquist=True)
+    k = _wavenumbers(n)
     shape = [1, 1, 1, 1]
     shape[axis] = n
     hat = np.fft.fft(values, axis=axis)
@@ -200,18 +192,6 @@ def del_(f: FieldOnTorus) -> FieldOnTorus:
     if f.form_type == FORM_01:
         return FieldOnTorus(f.grid, FORM_11, _d_z(f.values))
     raise FormTypeError(f"del undefined on {f.form_type} fields")
-
-
-def laplace(f: FieldOnTorus) -> FieldOnTorus:
-    """Flat Laplacian d^2/dx^2 + d^2/dy^2, spectral symbol -(kx^2+ky^2)."""
-    if f.form_type != FUNCTION:
-        raise FormTypeError("laplace acts on function fields")
-    n = f.grid.n
-    k = _wavenumbers(n, zero_nyquist=False)
-    sym = -(k[:, None] ** 2 + k[None, :] ** 2)
-    hat = np.fft.fft2(f.values, axes=(0, 1))
-    hat *= sym[..., None, None]
-    return FieldOnTorus(f.grid, FUNCTION, np.fft.ifft2(hat, axes=(0, 1)))
 
 
 def integrate(f: FieldOnTorus) -> np.ndarray:

@@ -17,22 +17,18 @@ the full endomorphisms with the same phi-signs as the vortex residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import geometry as geo
 from . import higgs
 from .errors import ConstraintError, ShapeError
-from .geometry import FieldOnTorus, TorusGrid
+from .geometry import FieldOnTorus, TorusGrid, adjoint_values
 from .higgs import MetricPair, QuadrupletSpec
 from .vortex import VortexConstants
 
 TWO_PI = 2.0 * np.pi
-
-
-def _adj(v: np.ndarray) -> np.ndarray:
-    return geo.adjoint_values(v)
 
 
 @dataclass
@@ -58,8 +54,7 @@ class Configuration:
         return self.a2.shape[-1]
 
 
-@dataclass
-class TangentData:
+class TangentData(NamedTuple):
     """Tangent vector (A1_dot, Phi1_dot, A2_dot, Phi2_dot, f, g_dir).
 
     One-form slots hold (1,0)-coefficients; skew-Hermitian by representation.
@@ -72,9 +67,6 @@ class TangentData:
     f: np.ndarray
     g: np.ndarray
 
-    def map(self, fn) -> "TangentData":
-        return TangentData(*(fn(v) for v in (self.a1, self.p1, self.a2, self.p2, self.f, self.g)))
-
 
 @dataclass
 class GaugeDirection:
@@ -85,7 +77,7 @@ class GaugeDirection:
 
     def validate(self, tol: float = 1e-12):
         for name, m in (("u", self.u), ("v", self.v)):
-            defect = geo.sup_norm(m + _adj(m))
+            defect = geo.sup_norm(m + adjoint_values(m))
             if defect > tol * max(1.0, geo.sup_norm(m)):
                 raise ConstraintError(f"{name} is not skew-Hermitian")
         return self
@@ -120,12 +112,18 @@ def apply_I(a: TangentData) -> TangentData:
 
 def apply_J(a: TangentData) -> TangentData:
     """Second complex structure: (A, Phi) -> (-Phi, A), (f, g) -> (-g*, f*)."""
-    return TangentData(-a.p1, a.a1, -a.p2, a.a2, -_adj(a.g), _adj(a.f))
+    return TangentData(-a.p1, a.a1, -a.p2, a.a2, -adjoint_values(a.g), adjoint_values(a.f))
 
 
 def apply_K(a: TangentData) -> TangentData:
     """Third complex structure, the composite I o J."""
     return apply_I(apply_J(a))
+
+
+def quaternion_defect(a: TangentData) -> float:
+    """Sup over the slots of I^2 a + a, J^2 a + a, K^2 a + a and K a - I J a."""
+    squares = max(geo.sup_norm(x + y) for op in (apply_I, apply_J, apply_K) for x, y in zip(op(op(a)), a))
+    return max(squares, *(geo.sup_norm(x - y) for x, y in zip(apply_K(a), apply_I(apply_J(a)))))
 
 
 def omega_I(a: TangentData, b: TangentData) -> float:
@@ -137,7 +135,7 @@ def omega_I(a: TangentData, b: TangentData) -> float:
 
 def _curvature_coeff(degrees: Sequence[int], c: np.ndarray) -> np.ndarray:
     """dz^dzbar coefficient of F(bg + a) with a = C dz - C^dag dzbar."""
-    d = -_adj(c)
+    d = -adjoint_values(c)
     da = geo._d_z(d) - geo._d_zbar(c)
     bg = np.pi * np.diag(np.asarray(degrees, dtype=float))
     return bg + da + (c @ d - d @ c)
@@ -145,7 +143,7 @@ def _curvature_coeff(degrees: Sequence[int], c: np.ndarray) -> np.ndarray:
 
 def _wedge_square_coeff(p: np.ndarray) -> np.ndarray:
     """dz^dzbar coefficient of Phi ^ Phi for Phi = P dz - P^dag dzbar."""
-    q = -_adj(p)
+    q = -adjoint_values(p)
     return p @ q - q @ p
 
 
@@ -154,10 +152,10 @@ def moment_mu_I(x: Configuration) -> tuple[FieldOnTorus, FieldOnTorus]:
 
     At a vortex solution the value is (-2 pi i tau Id omega, -2 pi i tau' Id omega).
     """
-    phis_phi = _adj(x.phi) @ x.phi
-    phi_phis = x.phi @ _adj(x.phi)
-    psi_psis = x.psi @ _adj(x.psi)
-    psis_psi = _adj(x.psi) @ x.psi
+    phis_phi = adjoint_values(x.phi) @ x.phi
+    phi_phis = x.phi @ adjoint_values(x.phi)
+    psi_psis = x.psi @ adjoint_values(x.psi)
+    psis_psi = adjoint_values(x.psi) @ x.psi
     f1 = _curvature_coeff(x.block_degrees1, x.a1)
     f2 = _curvature_coeff(x.block_degrees2, x.a2)
     mu1 = f1 - _wedge_square_coeff(x.p1) + (1j * phis_phi - 1j * psi_psis) * geo.OMEGA_COEFF
@@ -189,18 +187,18 @@ def level_set_defect(x: Configuration, c: VortexConstants) -> float:
 def gauge_transform(x: Configuration, g1: np.ndarray, g2: np.ndarray) -> Configuration:
     """Finite unitary gauge action (g1, g2) . x."""
     def transform_connection(c, g):
-        ginv = _adj(g)  # unitary
+        ginv = adjoint_values(g)  # unitary
         dzg = geo._d_z(g)
         return g @ c @ ginv - dzg @ ginv
 
     return replace(
         x,
         a1=transform_connection(x.a1, g1),
-        p1=g1 @ x.p1 @ _adj(g1),
+        p1=g1 @ x.p1 @ adjoint_values(g1),
         a2=transform_connection(x.a2, g2),
-        p2=g2 @ x.p2 @ _adj(g2),
-        phi=g2 @ x.phi @ _adj(g1),
-        psi=g1 @ x.psi @ _adj(g2),
+        p2=g2 @ x.p2 @ adjoint_values(g2),
+        phi=g2 @ x.phi @ adjoint_values(g1),
+        psi=g1 @ x.psi @ adjoint_values(g2),
     )
 
 
@@ -248,8 +246,8 @@ def moment_map_property_check(
 
 def constraint_residuals(x: Configuration) -> dict:
     """Sup norms of the holomorphy constraints cutting out N inside M."""
-    d1 = -_adj(x.a1)
-    d2 = -_adj(x.a2)
+    d1 = -adjoint_values(x.a1)
+    d2 = -adjoint_values(x.a2)
 
     def dbar_cov(values, d_left, d_right):
         dzbar = geo._d_zbar(values)
@@ -273,7 +271,7 @@ def _sqrtm_hermitian(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 1:
         return np.sqrt(values)
     w, v = np.linalg.eigh(values)
-    return (v * np.sqrt(w)[..., None, :]) @ _adj(v)
+    return (v * np.sqrt(w)[..., None, :]) @ adjoint_values(v)
 
 
 def configuration_from_solution(q: QuadrupletSpec, h: MetricPair, c: VortexConstants) -> Configuration:
@@ -326,7 +324,7 @@ def random_smooth_matrix(grid: TorusGrid, ro: int, ri: int, rng, amplitude: floa
 
 def random_skew_field(grid: TorusGrid, r: int, rng, amplitude: float = 0.3, modes: int = 2) -> np.ndarray:
     m = random_smooth_matrix(grid, r, r, rng, amplitude, modes)
-    return 0.5 * (m - _adj(m))
+    return 0.5 * (m - adjoint_values(m))
 
 
 def random_tangent(grid: TorusGrid, r1: int, r2: int, rng, amplitude: float = 0.5) -> TangentData:
@@ -371,4 +369,4 @@ def _expm_skew(values: np.ndarray) -> np.ndarray:
     """Pointwise exponential of a skew-Hermitian field (unitary result)."""
     herm = -1j * values
     w, v = np.linalg.eigh(herm)
-    return (v * np.exp(1j * w)[..., None, :]) @ _adj(v)
+    return (v * np.exp(1j * w)[..., None, :]) @ adjoint_values(v)

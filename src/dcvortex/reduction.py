@@ -147,22 +147,6 @@ def raw_norm_alpha(zeta) -> np.ndarray:
     return np.abs(alpha_coeff("z", zeta)) ** 2 * P1LineData(-2).metric(zeta)
 
 
-# raw wedge scalars (dzeta^dzetabar coefficients per unit endomorphism);
-# uniform across charts because the chart signs square away
-def _wedge_scalar(zeta):
-    return 1.0 / (1.0 + np.abs(zeta) ** 2) ** 2
-
-
-def raw_alpha_wedge(zeta):
-    """A ^ A* = (this scalar) psi psi* dzeta^dzetabar for A = psi (x) alpha."""
-    return -_wedge_scalar(zeta)
-
-
-def raw_beta_wedge_rev(zeta):
-    """B* ^ B = (this scalar) phi* phi dzeta^dzetabar for B = phi (x) beta."""
-    return -_wedge_scalar(zeta)
-
-
 @dataclass(frozen=True)
 class InvariantForms:
     """alpha, beta with the normalization constants fixed by the wedge identities."""
@@ -172,32 +156,21 @@ class InvariantForms:
     raw_ratio: float  # sigma-independent proportionality of raw wedge to target
 
 
-def calibrate_alpha_beta(
-    sigma: float, charts: Optional[tuple[P1Chart, P1Chart]] = None, tol: float = 1e-10
-) -> InvariantForms:
+def calibrate_alpha_beta(sigma: float) -> InvariantForms:
     """Scale alpha, beta so that A^A* = (2i/sigma) psi psi* (x) omega_P1 etc.
 
-    The scale is computed pointwise as target/raw over quadrature samples
-    and must come out constant; raw/target times sigma gives the recorded
-    sigma-independent raw proportionality (pi).
+    For A = psi (x) alpha the raw wedge is A^A* = -(1+|zeta|^2)^-2 psi psi*
+    dzeta^dzetabar in either chart (the chart signs square away), and
+    B*^B = -(1+|zeta|^2)^-2 phi* phi dzeta^dzetabar for B = phi (x) beta.
+    With omega_P1 = (i/2pi)(1+|zeta|^2)^-2 dzeta^dzetabar, the target
+    (2i/sigma) omega_P1 has coefficient -(1/(pi sigma))(1+|zeta|^2)^-2,
+    so c_alpha^2 = c_beta^2 = 1/(pi sigma), raw/target = pi sigma, and
+    raw_ratio = (raw/target)/sigma = pi for every sigma.
     """
     if sigma <= 0:
         raise DomainError("calibration needs sigma > 0")
-    if charts is None:
-        charts = geo.p1_quadrature()
-    pts = np.concatenate([c.points for c in charts])
-    # target scalar of (2i/sigma) omega_P1; omega coefficient is (i/2pi)(1+|z|^2)^-2
-    target = (2j / sigma) * (0.5j / np.pi) / (1.0 + np.abs(pts) ** 2) ** 2
-    ratios = target / raw_alpha_wedge(pts)
-    c_alpha_sq = float(np.real(ratios.mean()))
-    if np.max(np.abs(ratios - c_alpha_sq)) > tol * max(1.0, abs(c_alpha_sq)):
-        raise DomainError("alpha calibration ratio is not constant")
-    ratios_b = target / raw_beta_wedge_rev(pts)  # B*^B = +(2i/sigma) phi* phi omega
-    c_beta_sq = float(np.real(ratios_b.mean()))
-    if np.max(np.abs(ratios_b - c_beta_sq)) > tol * max(1.0, abs(c_beta_sq)):
-        raise DomainError("beta calibration ratio is not constant")
-    raw_ratio = 1.0 / (c_alpha_sq * sigma)
-    return InvariantForms(float(np.sqrt(c_alpha_sq)), float(np.sqrt(c_beta_sq)), raw_ratio)
+    c = float(1.0 / np.sqrt(np.pi * sigma))
+    return InvariantForms(c, c, np.pi)
 
 
 def _wirtinger(f, zeta, bar: bool = False, delta: float = 1e-3) -> np.ndarray:
@@ -334,7 +307,7 @@ def assemble_F(
     if charts is None:
         charts = geo.p1_quadrature()
     rng = rng or np.random.default_rng(0)
-    forms = calibrate_alpha_beta(sigma, charts)
+    forms = calibrate_alpha_beta(sigma)
     ij, in_w, zeta = random_product_points(q.grid, n_points, rng)
     i, j = ij.T
     a, b = (x[:, None, None] for x in _calibrated_forms(forms, in_w, zeta))
@@ -438,23 +411,15 @@ class IntegrabilityReport:
     psi_phi: float
 
 
-def integrability_residual(
-    q: QuadrupletSpec,
-    sigma: float,
-    n_points: int = 64,
-    rng=None,
-    charts: Optional[tuple[P1Chart, P1Chart]] = None,
-) -> IntegrabilityReport:
+def integrability_residual(q: QuadrupletSpec, sigma: float, n_points: int = 64, rng=None) -> IntegrabilityReport:
     """Pointwise (dbar_F + theta_F)^2 components at product sample points.
 
     Zero iff the four defining conditions of the quadruplet hold;
     the phi psi / psi phi products ride alpha^beta and beta^alpha, which are
     nondegenerate, so breaking phi o psi = 0 shows up at full strength.
     """
-    if charts is None:
-        charts = geo.p1_quadrature()
     rng = rng or np.random.default_rng(0)
-    forms = calibrate_alpha_beta(sigma, charts)
+    forms = calibrate_alpha_beta(sigma)
     res = higgs.holomorphy_residuals(q)
     psi, phi = q.psi.values, q.phi.values
     theta1, theta2 = q.theta1.values, q.theta2.values

@@ -38,6 +38,12 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_STEP = 1.0
 # trust region: a step moving s by more than this (sup norm) is scaled down to it
 MAX_UPDATE = 1.0
+BACKTRACK = 0.5        # step factor after a rejected step
+GROW = 1.05            # step factor after every GROW_EVERY accepted steps
+GROW_EVERY = 25
+MIN_STEP = 1e-14       # below this the step has collapsed
+S_BOUND = 40.0         # |s| beyond this is a scale runaway
+MIN_REL_IMPROVEMENT = 1e-9  # relative progress that resets the patience count
 
 
 def _is_rational(x) -> bool:
@@ -150,18 +156,10 @@ def is_solution(q: QuadrupletSpec, h: MetricPair, c: VortexConstants, tol: float
 
 @dataclass
 class SolveOptions:
-    step: Optional[float] = None          # initial step; auto: DEFAULT_STEP, the same for every n
+    step: float = DEFAULT_STEP            # initial step, the same for every n
     max_iter: int = 200_000
     target_residual: float = 1e-8
     patience: int = 2000                  # accepted steps without relative progress
-    min_rel_improvement: float = 1e-9
-    backtrack: float = 0.5
-    grow: float = 1.05
-    grow_every: int = 25
-    min_step: float = 1e-14
-    s_bound: float = 40.0                 # |s| beyond this is a scale runaway
-    trace_normalize: bool = True
-    record_every: int = 1
 
 
 @dataclass
@@ -172,7 +170,6 @@ class SolveReport:
     final_sup_r2: float
     message: str
     history: list = field(default_factory=list)  # rows (iteration, sup_R1, sup_R2)
-    step_final: float = 0.0
 
     def sup(self) -> float:
         return max(self.final_sup_r1, self.final_sup_r2)
@@ -214,8 +211,8 @@ def solve(
     """
     opts = options or SolveOptions()
     n = q.grid.n
-    eps = opts.step if opts.step is not None else DEFAULT_STEP
-    k = q.grid.wavenumbers(zero_nyquist=True)
+    eps = opts.step
+    k = q.grid.wavenumbers()
     half_k2 = 0.5 * (k[:, None] ** 2 + k[None, :] ** 2)[..., None, None]
 
     def descent(r: np.ndarray) -> np.ndarray:
@@ -233,8 +230,7 @@ def solve(
                 raise ShapeError(f"initial {what} must have shape {(n, n, r, r)}, got {s.shape}")
             if not np.isfinite(s).all():
                 raise DomainError(f"initial {what} has non-finite values")
-        if opts.trace_normalize:
-            s1, s2 = _renormalize_trace(s1, s2, q.r1, q.r2)
+        s1, s2 = _renormalize_trace(s1, s2, q.r1, q.r2)
 
     def metrics(a, b):
         return MetricPair(
@@ -264,9 +260,7 @@ def solve(
             # from a far start a full step can overshoot to where exp(s) ~ 0
             # bounds the residual, and the runaway test below then fires
             step1, step2 = step1 * (MAX_UPDATE / size), step2 * (MAX_UPDATE / size)
-        cand1, cand2 = s1 - step1, s2 - step2
-        if opts.trace_normalize:
-            cand1, cand2 = _renormalize_trace(cand1, cand2, q.r1, q.r2)
+        cand1, cand2 = _renormalize_trace(s1 - step1, s2 - step2, q.r1, q.r2)
         res_cand = residual(q, metrics(cand1, cand2), c, checked=False)
         c1, c2 = res_cand.sup_norms()
         cand_sup = max(c1, c2)
@@ -275,30 +269,27 @@ def solve(
             s1, s2, res = cand1, cand2, res_cand
             sup1, sup2, sup = c1, c2, cand_sup
             accepted += 1
-            if accepted % opts.record_every == 0:
-                history.append((accepted, sup1, sup2))
-            if accepted % opts.grow_every == 0:
-                eps *= opts.grow
-            if sup < best[0] * (1.0 - opts.min_rel_improvement):
+            history.append((accepted, sup1, sup2))
+            if accepted % GROW_EVERY == 0:
+                eps *= GROW
+            if sup < best[0] * (1.0 - MIN_REL_IMPROVEMENT):
                 best = (sup, s1, s2, sup1, sup2)
                 best_iter = accepted
             if sup <= opts.target_residual:
                 converged, message = True, "converged"
                 break
-            if max(geo.sup_norm(s1), geo.sup_norm(s2)) > opts.s_bound:
+            if max(geo.sup_norm(s1), geo.sup_norm(s2)) > S_BOUND:
                 message = "diverged: metric log runaway (unstable quadruplet?)"
                 break
             if accepted - best_iter > opts.patience:
                 message = "stalled: residual plateau (unstable quadruplet?)"
                 break
         else:
-            eps *= opts.backtrack
-            if eps < opts.min_step:
+            eps *= BACKTRACK
+            if eps < MIN_STEP:
                 message = "step collapse: residual cannot decrease"
                 break
 
-    if history[-1][0] != accepted:
-        history.append((accepted, sup1, sup2))
     if not converged:
         _, s1, s2, sup1, sup2 = best
     report = SolveReport(
@@ -308,6 +299,5 @@ def solve(
         final_sup_r2=sup2,
         message=message,
         history=history,
-        step_final=eps,
     )
     return metrics(s1, s2), report

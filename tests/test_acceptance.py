@@ -130,13 +130,13 @@ def test_criterion_7_dimensional_reduction(solved_entry, charts):
     ok_diag = report_line("criterion 7a: product HE residual at 200 points", he.sup_diagonal, 1e-6,
                           f"(rescale constant {he.rescale_constant})")
     ok_off = report_line("criterion 7b: off-diagonal Lambda_sigma blocks", he.sup_offdiagonal, 1e-8)
-    integ = reduction.integrability_residual(q, float(c.sigma), rng=rng, charts=charts)
+    integ = reduction.integrability_residual(q, float(c.sigma), rng=rng)
     ok_int = report_line("criterion 7c: integrability of assembled F", integ.total, 1e-9)
     broken = higgs.QuadrupletSpec(
         q.grid, (0,), (0,), q.theta1, q.theta2,
         geo.constant_field(q.grid, [[1.0]]), geo.constant_field(q.grid, [[1.0]]),
     )
-    integ_broken = reduction.integrability_residual(broken, float(c.sigma), rng=rng, charts=charts)
+    integ_broken = reduction.integrability_residual(broken, float(c.sigma), rng=rng)
     ok_broken = integ_broken.total >= 1e-2
     print(f"{'PASS' if ok_broken else 'FAIL'} criterion 7d: broken phi psi = 0 detected "
           f"(value={integ_broken.total:.3e} >= 1e-2)")

@@ -176,9 +176,11 @@ class TestConfigHandling:
         ("verify-hk", "[hk]\ndraws = 0"),
         ("verify-reduction", "[grid]\nn = 16\nn_radial = 0"),
         ("verify-reduction", "[grid]\nn = 16\nn_angular = 7"),
+        ("verify-hk", "[grid]\nn = 5"),
+        ("solve", "[grid]\nn = 2"),
     ])
     def test_empty_sample_exit_1(self, tmp_path, capsys, command, section):
-        # an empty sample would pass its checks vacuously
+        # an empty sample would pass its checks vacuously; a bad n fails inside the numerics
         text = SMALL_SOLVE.replace("[grid]\nn = 16", "") + "\n" + section + "\n"
         cfg = write_config(tmp_path, text)
         rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])

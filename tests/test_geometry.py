@@ -69,19 +69,6 @@ class TestDbar:
 
 
 class TestLaplaceIntegrate:
-    def test_eigenmode(self):
-        g = geo.TorusGrid(32)
-        f = geo.mode_field(g, 1, 0)
-        err = np.abs(geo.laplace(f).values + 4 * np.pi ** 2 * f.values)
-        assert err.max() < 1e-10
-
-    def test_laplace_stencil_oracle(self):
-        g = geo.TorusGrid(64)
-        f = geo.mode_field(g, 1, 2)
-        d2x = stencil_derivative(stencil_derivative(f.values, g.n, 0), g.n, 0)
-        d2y = stencil_derivative(stencil_derivative(f.values, g.n, 1), g.n, 1)
-        assert np.abs(geo.laplace(f).values - (d2x + d2y)).max() < 2e-2
-
     def test_integrate_constant(self):
         g = geo.TorusGrid(16)
         assert geo.integrate(geo.identity_field(g, 1))[0, 0] == pytest.approx(1.0)

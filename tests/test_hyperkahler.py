@@ -41,6 +41,18 @@ class TestQuaternions:
             assert max_slot_diff(hk.apply_K(a), hk.apply_I(hk.apply_J(a))) == 0.0
             assert max_slot_diff(hk.apply_I(hk.apply_J(a)), hk.apply_J(hk.apply_I(a)), sign=-1.0) < 1e-12
 
+    def test_quaternion_defect_detects_a_sign_error(self, rng, small_grid, monkeypatch):
+        a = hk.random_tangent(small_grid, 2, 1, rng)
+        assert hk.quaternion_defect(a) < 1e-12
+        apply_J = hk.apply_J
+
+        def flipped_J(t):
+            out = apply_J(t)
+            return out._replace(a1=-out.a1)
+
+        monkeypatch.setattr(hk, "apply_J", flipped_J)
+        assert hk.quaternion_defect(a) > 1e-1
+
     def test_J_slot_bookkeeping(self, small_grid):
         # a with only an f slot maps to only a g slot, the adjoint of f
         f = np.zeros((16, 16, 1, 2), dtype=complex)
