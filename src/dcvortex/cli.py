@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to an INI run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
+        p.add_argument("--tol", type=float, default=None, help="override the check tolerance (finite, > 0)")
         p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("deg-p1")
     p.add_argument("n", type=int)
@@ -232,6 +232,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
+    # deg-p1's --tol is its only check tolerance, not an override; a negative one forces a FAIL
+    if args.command != "deg-p1" and args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+        print(f"usage error: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "deg-p1":
             report = cmd_deg_p1(args.n, args.tol)

@@ -132,6 +132,18 @@ def _parse_degrees(text: str, where: str) -> tuple[int, ...]:
     return degs
 
 
+def _positive(value: float, where: str) -> float:
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{where} must be finite and positive, got {value!r}")
+    return value
+
+
+def _at_least_one(value: int, where: str) -> int:
+    if value < 1:
+        raise ConfigError(f"{where} must be >= 1, got {value}")
+    return value
+
+
 def parse_config(path) -> RunConfig:
     text = Path(path).read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -176,29 +188,27 @@ def parse_config(path) -> RunConfig:
 
     if parser.has_section("solver"):
         s = cfg.solver
-        s.step = parser.getfloat("solver", "step", fallback=s.step)
-        s.max_iter = parser.getint("solver", "max_iter", fallback=s.max_iter)
-        s.target_residual = parser.getfloat("solver", "target_residual", fallback=s.target_residual)
-        s.patience = parser.getint("solver", "patience", fallback=s.patience)
-        if s.target_residual <= 0:
-            raise ConfigError("[solver] target_residual must be positive")
+        s.step = _positive(parser.getfloat("solver", "step", fallback=s.step), "[solver] step")
+        s.max_iter = _at_least_one(parser.getint("solver", "max_iter", fallback=s.max_iter), "[solver] max_iter")
+        s.target_residual = _positive(
+            parser.getfloat("solver", "target_residual", fallback=s.target_residual), "[solver] target_residual"
+        )
+        s.patience = _at_least_one(parser.getint("solver", "patience", fallback=s.patience), "[solver] patience")
 
     if parser.has_section("tolerances"):
-        cfg.constraint_tol = parser.getfloat("tolerances", "constraint", fallback=cfg.constraint_tol)
+        cfg.constraint_tol = _positive(
+            parser.getfloat("tolerances", "constraint", fallback=cfg.constraint_tol), "[tolerances] constraint"
+        )
         if parser.has_option("tolerances", "check"):
-            cfg.check_tol = parser.getfloat("tolerances", "check")
-        if cfg.constraint_tol <= 0 or (cfg.check_tol is not None and cfg.check_tol <= 0):
-            raise ConfigError("[tolerances]: tolerances must be positive")
+            cfg.check_tol = _positive(parser.getfloat("tolerances", "check"), "[tolerances] check")
 
     if parser.has_section("reduction"):
-        cfg.n_product_points = parser.getint("reduction", "n_points", fallback=cfg.n_product_points)
-        if cfg.n_product_points < 1:
-            raise ConfigError("[reduction] n_points must be >= 1")
+        cfg.n_product_points = _at_least_one(
+            parser.getint("reduction", "n_points", fallback=cfg.n_product_points), "[reduction] n_points"
+        )
 
     if parser.has_section("hk"):
-        cfg.hk_draws = parser.getint("hk", "draws", fallback=cfg.hk_draws)
-        if cfg.hk_draws < 1:
-            raise ConfigError("[hk] draws must be >= 1")
+        cfg.hk_draws = _at_least_one(parser.getint("hk", "draws", fallback=cfg.hk_draws), "[hk] draws")
 
     if parser.has_section("stability"):
         if parser.has_option("stability", "catalog"):

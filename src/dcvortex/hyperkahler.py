@@ -17,6 +17,7 @@ the full endomorphisms with the same phi-signs as the vortex residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -309,15 +310,32 @@ def configuration_from_solution(q: QuadrupletSpec, h: MetricPair, c: VortexConst
 
 # -- random data -------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _fourier_table(n: int, modes: int) -> np.ndarray:
+    """Read-only (2 modes + 1, n) table of e_p(x) = exp(2 pi i p x), p = -modes..modes."""
+    table = np.exp(TWO_PI * 1j * np.outer(np.arange(-modes, modes + 1), np.arange(n) / n))
+    table.flags.writeable = False
+    return table
+
+
 def random_smooth_matrix(grid: TorusGrid, ro: int, ri: int, rng, amplitude: float = 0.3, modes: int = 2) -> np.ndarray:
-    """Band-limited random matrix field (trigonometric polynomial entries)."""
-    x, y = grid.coordinates()
-    out = np.zeros((grid.n, grid.n, ro, ri), dtype=np.complex128)
-    for p in range(-modes, modes + 1):
-        for qq in range(-modes, modes + 1):
-            coeff = (rng.standard_normal((ro, ri)) + 1j * rng.standard_normal((ro, ri)))
-            phase = np.exp(2j * np.pi * (p * x + qq * y))
-            out += phase[..., None, None] * coeff
+    """Band-limited random matrix field (trigonometric polynomial entries).
+
+    The field is sum_{|p|,|q| <= modes} c_pq exp(2 pi i (p x + q y)), rescaled
+    to sup norm `amplitude`.  Draw-order contract: the coefficients come from
+    one call rng.standard_normal((m, m, 2, ro, ri)), m = 2 modes + 1, indexed
+    (p, q, re/im, entry) with p and q ascending from -modes, so the generator
+    yields the same numbers, and ends in the same state, as a loop over p,
+    then q, drawing the (ro, ri) real part and then the imaginary part.
+    The sum is separable, e_p(x) e_q(y), and is taken as two contractions
+    with the cached 1-D table.
+    """
+    m = 2 * modes + 1
+    draws = rng.standard_normal((m, m, 2, ro, ri))
+    coeff = draws[:, :, 0] + 1j * draws[:, :, 1]
+    table = _fourier_table(grid.n, modes)
+    over_q = np.tensordot(table, coeff, axes=(0, 1))   # (y, p, ro, ri)
+    out = np.tensordot(table, over_q, axes=(0, 1))     # (x, y, ro, ri)
     norm = geo.sup_norm(out)
     return out * (amplitude / norm) if norm > 0 else out
 

@@ -9,6 +9,7 @@ import pytest
 
 from dcvortex import geometry as geo
 from dcvortex import higgs
+from dcvortex import hyperkahler as hk
 from dcvortex.geometry import TorusGrid
 from dcvortex.higgs import MetricPair, QuadrupletSpec
 
@@ -21,12 +22,7 @@ def charts():
 def random_hermitian_log(grid: TorusGrid, degrees, rng, amplitude=0.25, modes=2):
     """Band-limited Hermitian matrix field supported on the degree mask."""
     r = len(degrees)
-    x, y = grid.coordinates()
-    out = np.zeros((grid.n, grid.n, r, r), dtype=np.complex128)
-    for p in range(-modes, modes + 1):
-        for q in range(-modes, modes + 1):
-            coeff = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            out += np.exp(2j * np.pi * (p * x + q * y))[..., None, None] * coeff
+    out = hk.random_smooth_matrix(grid, r, r, rng, 1.0, modes)
     out = 0.5 * (out + geo.adjoint_values(out))
     mask = higgs.degree_mask(degrees, degrees)
     out[..., ~mask] = 0

@@ -178,14 +178,32 @@ class TestConfigHandling:
         ("verify-reduction", "[grid]\nn = 16\nn_angular = 7"),
         ("verify-hk", "[grid]\nn = 5"),
         ("solve", "[grid]\nn = 2"),
+        ("stability", "[solver]\nstep = nan"),
+        ("solve", "[solver]\nstep = -1"),
+        ("stability", "[solver]\ntarget_residual = nan"),
+        ("solve", "[solver]\nmax_iter = 0"),
+        ("solve", "[solver]\npatience = -3"),
+        ("solve", "[tolerances]\nconstraint = nan"),
+        ("solve", "[tolerances]\ncheck = inf"),
     ])
     def test_empty_sample_exit_1(self, tmp_path, capsys, command, section):
-        # an empty sample would pass its checks vacuously; a bad n fails inside the numerics
-        text = SMALL_SOLVE.replace("[grid]\nn = 16", "") + "\n" + section + "\n"
+        # an empty sample would pass its checks vacuously; a bad n fails inside the numerics;
+        # a bad solver setting or tolerance would run the solver or judge its checks wrongly
+        base = SMALL_SOLVE.replace("[grid]\nn = 16", "").replace("[solver]\ntarget_residual = 1e-7", "")
+        text = base + "\n" + section + "\n"
         cfg = write_config(tmp_path, text)
         rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert section.split("\n")[-1].split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_bad_tol_exit_1(self, tmp_path, capsys, tol):
+        # 0 would read as "unset" and nan would fail every check it overrides
+        cfg = write_config(tmp_path, SMALL_SOLVE)
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--tol", tol])
+        assert rc == 1
+        assert "--tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_shipped_configs_parse(self):

@@ -28,6 +28,49 @@ def small_grid():
     return geo.TorusGrid(16)
 
 
+def loop_smooth_matrix(grid, ro, ri, rng, amplitude, modes):
+    """Reference: one full-grid exponential per mode (p, q), drawn in loop order."""
+    x, y = grid.coordinates()
+    out = np.zeros((grid.n, grid.n, ro, ri), dtype=np.complex128)
+    for p in range(-modes, modes + 1):
+        for q in range(-modes, modes + 1):
+            coeff = rng.standard_normal((ro, ri)) + 1j * rng.standard_normal((ro, ri))
+            out += np.exp(2j * np.pi * (p * x + q * y))[..., None, None] * coeff
+    return out * (amplitude / geo.sup_norm(out))
+
+
+class TestRandomSmoothMatrix:
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_matches_mode_loop_and_draws(self, n, shape, modes):
+        grid = geo.TorusGrid(n)
+        rng_fast, rng_loop = np.random.default_rng(3), np.random.default_rng(3)
+        fast = hk.random_smooth_matrix(grid, *shape, rng_fast, 0.7, modes)
+        loop = loop_smooth_matrix(grid, *shape, rng_loop, 0.7, modes)
+        assert fast.shape == (n, n, *shape)
+        assert np.max(np.abs(fast - loop)) < 1e-14
+        # same draws: the generator streams continue identically
+        assert rng_fast.standard_normal() == rng_loop.standard_normal()
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_band_limited_with_sup_amplitude(self, rng, modes):
+        n = 16
+        field = hk.random_smooth_matrix(geo.TorusGrid(n), 2, 1, rng, 0.7, modes)
+        hat = np.fft.fft2(field, axes=(0, 1)) / n**2
+        k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+        outside = (k[:, None] > modes) | (k[None, :] > modes)
+        assert np.max(np.abs(hat[~outside])) > 1e-2
+        assert np.max(np.abs(hat[outside])) < 1e-14
+        assert geo.sup_norm(field) == pytest.approx(0.7, rel=1e-14)
+
+    def test_cached_table_is_read_only(self):
+        table = hk._fourier_table(8, 2)
+        assert table.shape == (5, 8)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
 class TestQuaternions:
     @pytest.mark.parametrize("op", [hk.apply_I, hk.apply_J, hk.apply_K])
     def test_squares_to_minus_one(self, op, rng, small_grid):
