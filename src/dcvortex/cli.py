@@ -45,7 +45,7 @@ def _write_report(report: Report, out_dir: Path, name: str) -> Path:
     return path
 
 
-def _solve_pipeline(cfg: RunConfig, out_dir: Path, seed):
+def _solve_pipeline(cfg: RunConfig, out_dir: Path):
     q = cfg.quadruplet()
     c = cfg.constants()
     h, rep = vortex.solve(q, c, cfg.solver)
@@ -56,7 +56,7 @@ def _solve_pipeline(cfg: RunConfig, out_dir: Path, seed):
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
-    q, c, h, rep, csv_path = _solve_pipeline(cfg, out_dir, seed)
+    q, c, h, rep, csv_path = _solve_pipeline(cfg, out_dir)
     target = check_tol or cfg.check_tol or cfg.solver.target_residual
     report = Report(
         command="solve",
@@ -123,7 +123,7 @@ def cmd_stability(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
 
 
 def cmd_verify_reduction(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
-    q, c, h, rep, csv_path = _solve_pipeline(cfg, out_dir, seed)
+    q, c, h, rep, csv_path = _solve_pipeline(cfg, out_dir)
     rng = np.random.default_rng(seed if seed is not None else 0)
     charts = geo.p1_quadrature(cfg.n_radial, cfg.n_angular)
     sigma = float(c.sigma)
@@ -204,8 +204,16 @@ def cmd_deg_p1(n: int, tol: float) -> Report:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit EXIT_USAGE; argparse's own 2 would read as a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dcvortex", description=__doc__)
+    parser = _Parser(prog="dcvortex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "stability", "verify-reduction", "verify-hk"):
         p = sub.add_parser(name)

@@ -62,32 +62,45 @@ class RunConfig:
     def quadruplet(self) -> QuadrupletSpec:
         grid = self.grid()
         r1, r2 = len(self.block_degrees1), len(self.block_degrees2)
-        return QuadrupletSpec(
-            grid=grid,
-            block_degrees1=self.block_degrees1,
-            block_degrees2=self.block_degrees2,
-            theta1=build_field(grid, self.field_specs.get("theta1", "zero"), r1, r1, geo.FORM_10),
-            theta2=build_field(grid, self.field_specs.get("theta2", "zero"), r2, r2, geo.FORM_10),
-            phi=build_field(grid, self.field_specs.get("phi", "zero"), r2, r1, geo.FUNCTION),
-            psi=build_field(grid, self.field_specs.get("psi", "zero"), r1, r2, geo.FUNCTION),
-            tol=self.constraint_tol,
-        ).validate()
+        fields = {
+            key: build_field(grid, key, self.field_specs.get(key, "zero"), ro, ri, form_type)
+            for key, ro, ri, form_type in (
+                ("theta1", r1, r1, geo.FORM_10),
+                ("theta2", r2, r2, geo.FORM_10),
+                ("phi", r2, r1, geo.FUNCTION),
+                ("psi", r1, r2, geo.FUNCTION),
+            )
+        }
+        q = QuadrupletSpec(grid, self.block_degrees1, self.block_degrees2, **fields, tol=self.constraint_tol)
+        return q.validate()
+
+
+def _parse_number(text: str, kind, where: str):
+    """text read as kind (int, float or complex); a ConfigError naming where if it is not one."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: cannot parse {kind.__name__} {text!r}") from exc
+
+
+def _get_number(parser: configparser.ConfigParser, section: str, key: str, kind, fallback=None):
+    """[section] key read as kind, or fallback if the key is absent."""
+    if not parser.has_option(section, key):
+        return fallback
+    return _parse_number(parser.get(section, key), kind, f"[{section}] {key}")
 
 
 def _parse_complex(token: str, where: str) -> complex:
-    try:
-        value = complex(token.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse complex number {token!r}") from exc
+    value = _parse_number(token.replace(" ", ""), complex, where)
     if not np.isfinite(value):
         raise ConfigError(f"{where}: non-finite value {token!r}")
     return value
 
 
-def build_field(grid: TorusGrid, spec: str, ro: int, ri: int, form_type: str):
+def build_field(grid: TorusGrid, key: str, spec: str, ro: int, ri: int, form_type: str):
     parts = spec.split()
     kind = parts[0] if parts else "zero"
-    where = f"field spec {spec!r}"
+    where = f"[fields] {key} = {spec!r}"
     if kind == "zero":
         return geo.zero_field(grid, ro, ri, form_type)
     if kind == "constant":
@@ -108,7 +121,7 @@ def build_field(grid: TorusGrid, spec: str, ro: int, ri: int, form_type: str):
     if kind == "mode":
         if len(parts) != 4:
             raise ConfigError(f"{where}: mode needs p q amplitude")
-        p, q = int(parts[1]), int(parts[2])
+        p, q = (_parse_number(t, int, where) for t in parts[1:3])
         amp = _parse_complex(parts[3], where)
         m = amp * (np.eye(ro, ri) if ro == ri else np.ones((ro, ri)))
         return geo.mode_field(grid, p, q, m, form_type)
@@ -123,10 +136,7 @@ def _parse_rational(text: str, where: str) -> Fraction:
 
 
 def _parse_degrees(text: str, where: str) -> tuple[int, ...]:
-    try:
-        degs = tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: degrees must be integers") from exc
+    degs = tuple(_parse_number(t, int, where) for t in text.replace(",", " ").split())
     if not degs:
         raise ConfigError(f"{where}: at least one summand degree required")
     return degs
@@ -155,9 +165,9 @@ def parse_config(path) -> RunConfig:
     cfg = RunConfig(raw_text=text)
 
     if parser.has_section("grid"):
-        cfg.n = parser.getint("grid", "n", fallback=cfg.n)
-        cfg.n_radial = parser.getint("grid", "n_radial", fallback=cfg.n_radial)
-        cfg.n_angular = parser.getint("grid", "n_angular", fallback=cfg.n_angular)
+        cfg.n = _get_number(parser, "grid", "n", int, cfg.n)
+        cfg.n_radial = _get_number(parser, "grid", "n_radial", int, cfg.n_radial)
+        cfg.n_angular = _get_number(parser, "grid", "n_angular", int, cfg.n_angular)
         if cfg.n < 4 or cfg.n % 2 != 0:
             raise ConfigError(f"[grid] n must be even and >= 4, got {cfg.n}")
         if min(cfg.n_radial, cfg.n_angular) < 8:
@@ -188,27 +198,27 @@ def parse_config(path) -> RunConfig:
 
     if parser.has_section("solver"):
         s = cfg.solver
-        s.step = _positive(parser.getfloat("solver", "step", fallback=s.step), "[solver] step")
-        s.max_iter = _at_least_one(parser.getint("solver", "max_iter", fallback=s.max_iter), "[solver] max_iter")
+        s.step = _positive(_get_number(parser, "solver", "step", float, s.step), "[solver] step")
+        s.max_iter = _at_least_one(_get_number(parser, "solver", "max_iter", int, s.max_iter), "[solver] max_iter")
         s.target_residual = _positive(
-            parser.getfloat("solver", "target_residual", fallback=s.target_residual), "[solver] target_residual"
+            _get_number(parser, "solver", "target_residual", float, s.target_residual), "[solver] target_residual"
         )
-        s.patience = _at_least_one(parser.getint("solver", "patience", fallback=s.patience), "[solver] patience")
+        s.patience = _at_least_one(_get_number(parser, "solver", "patience", int, s.patience), "[solver] patience")
 
     if parser.has_section("tolerances"):
         cfg.constraint_tol = _positive(
-            parser.getfloat("tolerances", "constraint", fallback=cfg.constraint_tol), "[tolerances] constraint"
+            _get_number(parser, "tolerances", "constraint", float, cfg.constraint_tol), "[tolerances] constraint"
         )
         if parser.has_option("tolerances", "check"):
-            cfg.check_tol = _positive(parser.getfloat("tolerances", "check"), "[tolerances] check")
+            cfg.check_tol = _positive(_get_number(parser, "tolerances", "check", float), "[tolerances] check")
 
     if parser.has_section("reduction"):
         cfg.n_product_points = _at_least_one(
-            parser.getint("reduction", "n_points", fallback=cfg.n_product_points), "[reduction] n_points"
+            _get_number(parser, "reduction", "n_points", int, cfg.n_product_points), "[reduction] n_points"
         )
 
     if parser.has_section("hk"):
-        cfg.hk_draws = _at_least_one(parser.getint("hk", "draws", fallback=cfg.hk_draws), "[hk] draws")
+        cfg.hk_draws = _at_least_one(_get_number(parser, "hk", "draws", int, cfg.hk_draws), "[hk] draws")
 
     if parser.has_section("stability"):
         if parser.has_option("stability", "catalog"):
@@ -220,6 +230,6 @@ def parse_config(path) -> RunConfig:
                     nums = chunk.split()
                     if len(nums) != 4:
                         raise ConfigError("[stability] subobjects: each entry is 'r1 r2 d1 d2'")
-                    cfg.user_subobjects.append(tuple(int(v) for v in nums))
+                    cfg.user_subobjects.append(tuple(_parse_number(v, int, "[stability] subobjects") for v in nums))
 
     return cfg

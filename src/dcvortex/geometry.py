@@ -142,11 +142,6 @@ def mode_field(grid: TorusGrid, p: int, q: int, matrix=1.0, form_type: str = FUN
     return FieldOnTorus(grid, form_type, phase[..., None, None] * m)
 
 
-def omega_field(grid: TorusGrid, rank: int = 1) -> FieldOnTorus:
-    """The Kahler form as a (1,1) matrix field (coefficient i/2 times Id)."""
-    return constant_field(grid, OMEGA_COEFF * np.eye(rank), FORM_11)
-
-
 # -- spectral derivatives ---------------------------------------------------
 
 def _axis_derivative(values: np.ndarray, n: int, axis: int) -> np.ndarray:

@@ -10,7 +10,7 @@ derivatives reduce to the plain spectral dbar / del of `geometry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -113,13 +113,6 @@ class QuadrupletSpec:
         return self
 
 
-def trivial_metrics(q: QuadrupletSpec) -> "MetricPair":
-    return MetricPair(
-        geo.identity_field(q.grid, q.r1),
-        geo.identity_field(q.grid, q.r2),
-    )
-
-
 @dataclass
 class MetricPair:
     """Positive Hermitian metric matrices h_i = exp(s_i) over the Id background."""
@@ -127,16 +120,16 @@ class MetricPair:
     h1: FieldOnTorus
     h2: FieldOnTorus
 
-    def validate(self, tol: float = 1e-12):
-        _check_metric(self.h1.values, "h1", tol)
-        _check_metric(self.h2.values, "h2", tol)
+    def validate(self):
+        _check_metric(self.h1.values, "h1")
+        _check_metric(self.h2.values, "h2")
         return self
 
 
-def _check_metric(values: np.ndarray, what: str = "metric", tol: float = 1e-12) -> None:
+def _check_metric(values: np.ndarray, what: str = "metric") -> None:
     """Raise DomainError unless the field is pointwise Hermitian positive definite."""
     herm_defect = geo.sup_norm(values - geo.adjoint_values(values))
-    if herm_defect > tol * max(1.0, geo.sup_norm(values)):
+    if herm_defect > 1e-12 * max(1.0, geo.sup_norm(values)):
         raise DomainError(f"{what} is not Hermitian (defect {herm_defect:.3e})")
     eigs = np.linalg.eigvalsh(values)
     if eigs.min() <= 0:
@@ -192,13 +185,6 @@ def bracket_theta(theta: FieldOnTorus, theta_dag: FieldOnTorus) -> FieldOnTorus:
     (TS - ST) dz^dzbar; in particular it is trace free pointwise.
     """
     return geo.wedge(theta, theta_dag) + geo.wedge(theta_dag, theta)
-
-
-def morphism_adjoint(f: FieldOnTorus, h_from: FieldOnTorus, h_to: FieldOnTorus) -> FieldOnTorus:
-    """Adjoint f* = h_from^-1 f^dagger h_to of f: (E_from,h_from) -> (E_to,h_to)."""
-    if f.rank_out != h_to.rank_out or f.rank_in != h_from.rank_out:
-        raise ShapeError("morphism and metric shapes are inconsistent")
-    return FieldOnTorus(f.grid, f.form_type, _adjoint(f.values, metric_inverse(h_from.values), h_to.values))
 
 
 def _adjoint(f: np.ndarray, hinv_from: np.ndarray, h_to: np.ndarray) -> np.ndarray:

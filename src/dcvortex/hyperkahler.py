@@ -23,11 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import geometry as geo
-from . import higgs
 from .errors import ConstraintError, ShapeError
 from .geometry import FieldOnTorus, TorusGrid, adjoint_values
-from .higgs import MetricPair, QuadrupletSpec
-from .vortex import VortexConstants
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,10 +73,10 @@ class GaugeDirection:
     u: np.ndarray
     v: np.ndarray
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         for name, m in (("u", self.u), ("v", self.v)):
             defect = geo.sup_norm(m + adjoint_values(m))
-            if defect > tol * max(1.0, geo.sup_norm(m)):
+            if defect > 1e-12 * max(1.0, geo.sup_norm(m)):
                 raise ConstraintError(f"{name} is not skew-Hermitian")
         return self
 
@@ -175,14 +172,6 @@ def moment_pairing(mu: tuple[FieldOnTorus, FieldOnTorus], xi: GaugeDirection) ->
     return float(total.real)
 
 
-def level_set_defect(x: Configuration, c: VortexConstants) -> float:
-    """Sup distance of Lambda(mu_I) from (-2 pi i tau Id, -2 pi i tau' Id)."""
-    mu1, mu2 = moment_mu_I(x)
-    lam1 = geo.lambda_contract(mu1).values + TWO_PI * 1j * float(c.tau) * np.eye(x.r1)
-    lam2 = geo.lambda_contract(mu2).values + TWO_PI * 1j * float(c.tau_prime) * np.eye(x.r2)
-    return max(geo.sup_norm(lam1), geo.sup_norm(lam2))
-
-
 # -- gauge action ----------------------------------------------------------------
 
 def gauge_transform(x: Configuration, g1: np.ndarray, g2: np.ndarray) -> Configuration:
@@ -241,71 +230,6 @@ def moment_map_property_check(
     minus = moment_pairing(moment_mu_I(perturb(x, a, -step)), xi)
     derivative = (plus - minus) / (2.0 * step)
     return abs(derivative - omega_I(infinitesimal_gauge(x, xi), a))
-
-
-# -- constraints (the set N) ------------------------------------------------------
-
-def constraint_residuals(x: Configuration) -> dict:
-    """Sup norms of the holomorphy constraints cutting out N inside M."""
-    d1 = -adjoint_values(x.a1)
-    d2 = -adjoint_values(x.a2)
-
-    def dbar_cov(values, d_left, d_right):
-        dzbar = geo._d_zbar(values)
-        return dzbar + d_left @ values - values @ d_right
-
-    return {
-        "higgs1": geo.sup_norm(dbar_cov(x.p1, d1, d1)),
-        "higgs2": geo.sup_norm(dbar_cov(x.p2, d2, d2)),
-        "phi_dbar": geo.sup_norm(dbar_cov(x.phi, d2, d1)),
-        "phi_twist": geo.sup_norm(x.p2 @ x.phi - x.phi @ x.p1),
-        "psi_dbar": geo.sup_norm(dbar_cov(x.psi, d1, d2)),
-        "psi_twist": geo.sup_norm(x.p1 @ x.psi - x.psi @ x.p2),
-        "phi_psi": geo.sup_norm(x.phi @ x.psi),
-        "psi_phi": geo.sup_norm(x.psi @ x.phi),
-    }
-
-
-# -- bridge from solved quadruplets ------------------------------------------------
-
-def _sqrtm_hermitian(values: np.ndarray) -> np.ndarray:
-    if values.shape[-1] == 1:
-        return np.sqrt(values)
-    w, v = np.linalg.eigh(values)
-    return (v * np.sqrt(w)[..., None, :]) @ adjoint_values(v)
-
-
-def configuration_from_solution(q: QuadrupletSpec, h: MetricPair, c: VortexConstants) -> Configuration:
-    """Express a metric solution as a point of M over unit metrics.
-
-    Conjugates by g_i = h_i^(1/2): the connection perturbation becomes
-    g^-1 del g, the Higgs field theta' = g theta g^-1 enters through
-    Phi = -i(theta' + theta'^dagger), and the couplings conjugate
-    accordingly.  If (Q, h) solves the vortex system, the result sits in N
-    on the central level set of mu_I.
-    """
-    g1 = _sqrtm_hermitian(h.h1.values)
-    g2 = _sqrtm_hermitian(h.h2.values)
-    g1_inv = higgs.metric_inverse(g1)
-    g2_inv = higgs.metric_inverse(g2)
-
-    def connection(g, ginv):
-        dzg = geo._d_z(g)
-        return ginv @ dzg
-
-    theta1p = g1 @ q.theta1.values @ g1_inv
-    theta2p = g2 @ q.theta2.values @ g2_inv
-    return Configuration(
-        grid=q.grid,
-        block_degrees1=tuple(q.block_degrees1),
-        block_degrees2=tuple(q.block_degrees2),
-        a1=connection(g1, g1_inv),
-        p1=-1j * theta1p,
-        a2=connection(g2, g2_inv),
-        p2=-1j * theta2p,
-        phi=g2 @ q.phi.values @ g1_inv,
-        psi=g1 @ q.psi.values @ g2_inv,
-    )
 
 
 # -- random data -------------------------------------------------------------------

@@ -38,7 +38,7 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class P1LineData:
-    """Closed-form chart data of (O(n), h^(n)): metric, curvature, transition."""
+    """Closed-form chart data of (O(n), h^(n)): metric and curvature."""
 
     n: int
 
@@ -49,18 +49,6 @@ class P1LineData:
     def curvature_coeff(self, zeta) -> np.ndarray:
         """dzeta^dzetabar coefficient of the Chern curvature, n (1+|zeta|^2)^-2."""
         return self.n / (1.0 + np.abs(zeta) ** 2) ** 2
-
-    def transition(self, z) -> np.ndarray:
-        """Frame transition e_{n,w} = z^n e_{n,z}."""
-        return np.asarray(z, dtype=complex) ** self.n
-
-    def transition_defect(self, z_samples) -> float:
-        """Sup of |h_w(1/z) - |z^n|^-2 ... | on overlap samples (should vanish)."""
-        z = np.asarray(z_samples, dtype=complex)
-        w = 1.0 / z
-        lhs = self.metric(w)
-        rhs = np.abs(self.transition(z)) ** 2 * self.metric(z)
-        return float(np.max(np.abs(lhs - rhs)))
 
 
 def lambda_p1(coeff, zeta, weight: float = 1.0):
@@ -79,9 +67,7 @@ def deg_p1(n: int, charts: Optional[tuple[P1Chart, P1Chart]] = None) -> float:
     return float((1j / TWO_PI * total).real)
 
 
-def fs_contraction_constant(
-    n: int = 2, charts: Optional[tuple[P1Chart, P1Chart]] = None, constancy_tol: float = 1e-8
-) -> complex:
+def fs_contraction_constant(n: int = 2, charts: Optional[tuple[P1Chart, P1Chart]] = None) -> complex:
     """Lambda_P1 of the curvature of h^(n); equals -2 pi i n, checked constant."""
     if charts is None:
         charts = geo.p1_quadrature()
@@ -91,7 +77,7 @@ def fs_contraction_constant(
     )
     mean = complex(values.mean())
     spread = float(np.max(np.abs(values - mean)))
-    if spread > constancy_tol:
+    if spread > 1e-8:
         raise DomainError(f"contraction of F_h({n}) is not constant (spread {spread:.2e})")
     return mean
 
@@ -108,43 +94,6 @@ def beta_coeff(chart_id: str, zeta) -> np.ndarray:
     """Chart coefficient of beta (O(2)-valued (1,0)-form)."""
     sign = 1.0 if chart_id == "z" else -1.0
     return sign * np.ones_like(np.asarray(zeta, dtype=complex))
-
-
-def alpha_transition_defect(z_samples) -> float:
-    """Pull the w-chart formula for alpha back to z-coordinates and compare."""
-    z = np.asarray(z_samples, dtype=complex)
-    w = 1.0 / z
-    # dwbar = -zbar^-2 dzbar, e_{-2,w} = z^-2 e_{-2,z}
-    pulled = alpha_coeff("w", w) * (-np.conj(z) ** -2) * z ** -2
-    return float(np.max(np.abs(pulled - alpha_coeff("z", z))))
-
-
-def beta_transition_defect(z_samples) -> float:
-    z = np.asarray(z_samples, dtype=complex)
-    w = 1.0 / z
-    # dw = -z^-2 dz, e_{2,w} = z^2 e_{2,z}
-    pulled = beta_coeff("w", w) * (-z ** -2) * z ** 2
-    return float(np.max(np.abs(pulled - beta_coeff("z", z))))
-
-
-def invariant_norm_alpha(zeta) -> np.ndarray:
-    """|alpha|^2 against (h^(-2), Fubini-Study); constant 2 pi by invariance."""
-    a = np.abs(alpha_coeff("z", zeta)) ** 2
-    h_m2 = P1LineData(-2).metric(zeta)
-    form_sq = 2.0 * np.pi * (1.0 + np.abs(zeta) ** 2) ** 2  # |dzbar|^2 w.r.t. FS
-    return a * h_m2 * form_sq
-
-
-def invariant_norm_beta(zeta) -> np.ndarray:
-    b = np.abs(beta_coeff("z", zeta)) ** 2
-    h_2 = P1LineData(2).metric(zeta)
-    form_sq = 2.0 * np.pi * (1.0 + np.abs(zeta) ** 2) ** 2
-    return b * h_2 * form_sq
-
-
-def raw_norm_alpha(zeta) -> np.ndarray:
-    """Coefficient-times-bundle-metric norm without the form factor; 1 at 0."""
-    return np.abs(alpha_coeff("z", zeta)) ** 2 * P1LineData(-2).metric(zeta)
 
 
 @dataclass(frozen=True)
@@ -456,10 +405,10 @@ class InvariantConnectionData:
     phi: np.ndarray
     psi: np.ndarray
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         for name, (cc, dd) in (("a1", self.a1), ("psi1", self.psi1), ("a2", self.a2), ("psi2", self.psi2)):
             defect = geo.sup_norm(dd + geo.adjoint_values(cc))
-            if defect > tol * max(1.0, geo.sup_norm(cc)):
+            if defect > 1e-12 * max(1.0, geo.sup_norm(cc)):
                 raise ConstraintError(f"{name} is not skew-Hermitian (defect {defect:.2e})")
         return self
 

@@ -26,15 +26,6 @@ def encode_number(x):
     return x
 
 
-def decode_number(x):
-    if isinstance(x, str) and "/" in x:
-        num, den = x.split("/")
-        return Fraction(int(num), int(den))
-    if isinstance(x, list) and len(x) == 2:
-        return complex(x[0], x[1])
-    return x
-
-
 @dataclass
 class Check:
     name: str
@@ -44,10 +35,6 @@ class Check:
 
     def to_dict(self):
         return {"name": self.name, "value": self.value, "tolerance": self.tolerance, "passed": self.passed}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["name"], d["value"], d["tolerance"], d["passed"])
 
 
 def make_check(name: str, value: float, tolerance: float) -> Check:
@@ -85,24 +72,6 @@ class Report:
     def to_json(self) -> str:
         # strict JSON: a NaN or infinity raises instead of writing NaN/Infinity
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            command=d["command"],
-            constants={k: decode_number(v) for k, v in d.get("constants", {}).items()},
-            checks=[Check.from_dict(c) for c in d.get("checks", [])],
-            solver=d.get("solver"),
-            stability=d.get("stability"),
-            verification=d.get("verification"),
-            provenance=d.get("provenance", {}),
-            seed=d.get("seed"),
-            schema_version=d.get("schema_version", SCHEMA_VERSION),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
 
 
 def config_digest(text: str) -> str:

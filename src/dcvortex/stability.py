@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -85,10 +85,6 @@ def mu_sigma(q: QuadInvariants, sigma) -> Fraction:
     return deg_sigma(q, sigma) / q.total_rank()
 
 
-def ordinary_slope(q: QuadInvariants) -> Fraction:
-    return mu_sigma(q, 0)
-
-
 def theta_tau(sub: QuadInvariants, ambient: QuadInvariants, tau) -> Fraction:
     """(mu(E1'+E2') - tau) - (r2'/r2)((r1+r2)/(r1'+r2'))(mu(E1+E2) - tau)."""
     t = _rational(tau, "tau")
@@ -149,32 +145,6 @@ def equivalence_check(catalog: SubobjectCatalog, sigma) -> bool:
     return True
 
 
-def direct_sum(a: QuadInvariants, b: QuadInvariants) -> QuadInvariants:
-    return QuadInvariants(a.r1 + b.r1, a.r2 + b.r2, a.d1 + b.d1, a.d2 + b.d2)
-
-
-def polystable_check(
-    parts: Sequence[QuadInvariants],
-    sigma,
-    catalogs: Optional[Sequence[Optional[SubobjectCatalog]]] = None,
-) -> bool:
-    """Each part stable (relative to its own catalog, vacuous if absent/empty)
-    and all sigma-slopes exactly equal."""
-    if not parts:
-        raise ConstraintError("polystability needs at least one part")
-    s = _rational(sigma, "sigma")
-    slopes = [mu_sigma(p, s) for p in parts]
-    if any(mu != slopes[0] for mu in slopes[1:]):
-        return False
-    if catalogs is not None:
-        if len(catalogs) != len(parts):
-            raise ConstraintError("catalogs must parallel parts")
-        for cat in catalogs:
-            if cat is not None and verdict_sigma(cat, s).verdict != "stable":
-                return False
-    return True
-
-
 # -- coordinate sub-quadruplets from a block-structured quadruplet ------------
 
 def _subsets(indices: range):
@@ -185,17 +155,17 @@ def _block_support(values: np.ndarray, tol: float) -> np.ndarray:
     return np.max(np.abs(values), axis=(0, 1)) > tol
 
 
-def coordinate_subquadruplets(q: QuadrupletSpec, tol: Optional[float] = None) -> SubobjectCatalog:
+def coordinate_subquadruplets(q: QuadrupletSpec) -> SubobjectCatalog:
     """Enumerate coordinate summand pairs (S1, S2) invariant under theta, phi, psi.
 
-    Block support is read off the concrete fields at tolerance tol; the
-    summands are the line-bundle factors, so blocks are single entries.
+    Block support is read off the concrete fields at the quadruplet's
+    constraint tolerance; the summands are the line-bundle factors, so
+    blocks are single entries.
     """
-    eps = q.tol if tol is None else tol
-    t1 = _block_support(q.theta1.values, eps)
-    t2 = _block_support(q.theta2.values, eps)
-    sphi = _block_support(q.phi.values, eps)
-    spsi = _block_support(q.psi.values, eps)
+    t1 = _block_support(q.theta1.values, q.tol)
+    t2 = _block_support(q.theta2.values, q.tol)
+    sphi = _block_support(q.phi.values, q.tol)
+    spsi = _block_support(q.psi.values, q.tol)
     ambient = QuadInvariants(q.r1, q.r2, q.d1, q.d2)
     catalog = SubobjectCatalog(ambient)
 
@@ -233,16 +203,6 @@ def coordinate_subquadruplets(q: QuadrupletSpec, tol: Optional[float] = None) ->
 
 
 # -- catalog text records -----------------------------------------------------
-
-def catalog_to_text(catalog: SubobjectCatalog) -> str:
-    lines = ["# sub-quadruplet catalog: r1 r2 d1 d2 [provenance]"]
-    amb = catalog.ambient
-    lines.append(f"ambient {amb.r1} {amb.r2} {amb.d1} {amb.d2}")
-    for e in catalog.entries:
-        inv = e.invariants
-        lines.append(f"entry {inv.r1} {inv.r2} {inv.d1} {inv.d2} {e.provenance}")
-    return "\n".join(lines) + "\n"
-
 
 def catalog_from_text(text: str) -> SubobjectCatalog:
     ambient = None

@@ -148,12 +148,6 @@ def trace_identity_check(q: QuadrupletSpec, h: MetricPair, c: VortexConstants) -
     return abs(1j * t1 + 1j * t2)
 
 
-def is_solution(q: QuadrupletSpec, h: MetricPair, c: VortexConstants, tol: float = 1e-8):
-    """Threshold the per-equation sup norms; returns (ok, sup_R1, sup_R2)."""
-    s1, s2 = residual(q, h, c).sup_norms()
-    return (max(s1, s2) <= tol), s1, s2
-
-
 @dataclass
 class SolveOptions:
     step: float = DEFAULT_STEP            # initial step, the same for every n

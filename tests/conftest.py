@@ -30,6 +30,11 @@ def random_hermitian_log(grid: TorusGrid, degrees, rng, amplitude=0.25, modes=2)
     return out * (amplitude / norm) if norm > 0 else out
 
 
+def unit_metrics(q: QuadrupletSpec) -> MetricPair:
+    """The flat metrics h1 = Id, h2 = Id."""
+    return MetricPair(geo.identity_field(q.grid, q.r1), geo.identity_field(q.grid, q.r2))
+
+
 def random_metric_pair(q: QuadrupletSpec, rng, amplitude=0.25) -> MetricPair:
     s1 = random_hermitian_log(q.grid, q.block_degrees1, rng, amplitude)
     s2 = random_hermitian_log(q.grid, q.block_degrees2, rng, amplitude)

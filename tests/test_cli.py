@@ -185,17 +185,35 @@ class TestConfigHandling:
         ("solve", "[solver]\npatience = -3"),
         ("solve", "[tolerances]\nconstraint = nan"),
         ("solve", "[tolerances]\ncheck = inf"),
+        ("solve", "[solver]\nstep = abc"),
+        ("solve", "[solver]\nmax_iter = 1.5"),
+        ("solve", "[grid]\nn = 16.0"),
+        ("verify-reduction", "[reduction]\nn_points = 4k"),
+        ("verify-hk", "[hk]\ndraws = ten"),
+        ("solve", "[tolerances]\nconstraint = tiny"),
+        ("solve", "[fields]\npsi = mode 1.5 0 1"),
+        ("solve", "[fields]\npsi = constant 1\ntheta1 = mode 0 x 1"),
+        ("stability", "[stability]\nsubobjects = 0 1 0 x"),
     ])
     def test_empty_sample_exit_1(self, tmp_path, capsys, command, section):
         # an empty sample would pass its checks vacuously; a bad n fails inside the numerics;
-        # a bad solver setting or tolerance would run the solver or judge its checks wrongly
+        # a bad solver setting or tolerance would run the solver or judge its checks wrongly;
+        # an unparseable number must end in a config error naming its key, not a traceback
         base = SMALL_SOLVE.replace("[grid]\nn = 16", "").replace("[solver]\ntarget_residual = 1e-7", "")
+        base = base.replace("[fields]\npsi = constant 1", "")
         text = base + "\n" + section + "\n"
         cfg = write_config(tmp_path, text)
         rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert section.split("\n")[-1].split()[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_missing_config_option_exit_1(self, tmp_path, capsys):
+        # argparse's own usage-error code 2 would read as "a check failed"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert "--config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["0", "nan"])
     def test_bad_tol_exit_1(self, tmp_path, capsys, tol):
@@ -219,6 +237,7 @@ class TestConfigHandling:
 
 class TestReports:
     def test_report_round_trip(self):
+        # exact rationals are written as "p/q", complex numbers as [re, im]
         from fractions import Fraction
 
         rep = Report(
@@ -230,9 +249,10 @@ class TestReports:
         rep.checks.append(make_check("a", 1e-9, 1e-8))
         rep.solver = {"converged": True, "iterations": 3, "final_sup_r1": 0.0,
                       "final_sup_r2": 0.0, "message": "converged", "history_csv": "h.csv"}
-        back = Report.from_json(rep.to_json())
-        assert back.to_dict() == rep.to_dict()
-        assert back.constants["tau"] == Fraction(1, 3)
+        doc = json.loads(rep.to_json())
+        assert doc["constants"] == {"tau": "1/3", "lambda_he": [0.0, -6.28]}
+        assert doc["checks"] == [{"name": "a", "value": 1e-9, "tolerance": 1e-8, "passed": True}]
+        assert doc["solver"] == rep.solver and doc["seed"] == 7 and doc["schema_version"] == 1
 
     def test_report_json_is_strict(self, tmp_path):
         rep = Report(command="solve")

@@ -75,7 +75,7 @@ class TestLaplaceIntegrate:
 
     def test_lambda_of_omega_is_one(self):
         g = geo.TorusGrid(16)
-        lam = geo.lambda_contract(geo.omega_field(g))
+        lam = geo.lambda_contract(geo.constant_field(g, [[geo.OMEGA_COEFF]], geo.FORM_11))
         assert np.abs(lam.values - 1.0).max() < 1e-14
 
     def test_lambda_inverts_multiplication_by_omega(self):

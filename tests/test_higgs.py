@@ -7,7 +7,7 @@ from dcvortex import geometry as geo
 from dcvortex import higgs, vortex
 from dcvortex.errors import ConstraintError, DomainError
 
-from conftest import random_admissible_quadruplet, random_metric_pair
+from conftest import random_admissible_quadruplet, random_hermitian_log, random_metric_pair, unit_metrics
 
 
 def degree_from_curvature(F):
@@ -58,8 +58,6 @@ class TestChernCurvature:
         g = geo.TorusGrid(32)
         for degrees in [(0,), (2,), (-1, -1), (1, 1)]:
             q_degrees = degrees
-            from conftest import random_hermitian_log
-
             s = random_hermitian_log(g, q_degrees, rng)
             h = geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(s))
             F = higgs.chern_curvature(h, q_degrees)
@@ -99,7 +97,7 @@ class TestMetricChecks:
         with pytest.raises(DomainError):
             vortex.residual(q, pair, c)
         # the same data pass once the metric is fixed
-        vortex.residual(q, higgs.trivial_metrics(q), c)
+        vortex.residual(q, unit_metrics(q), c)
 
 
 class TestAdjoints:
@@ -138,43 +136,32 @@ class TestAdjoints:
         expected = np.array([[0, 0], [2.0, 0]])
         assert np.abs(dag.values - expected).max() < 1e-14
 
-    def test_morphism_adjoint_identity(self):
-        g = geo.TorusGrid(8)
-        f = geo.identity_field(g, 2)
-        fstar = higgs.morphism_adjoint(f, geo.identity_field(g, 2), geo.identity_field(g, 2))
-        assert np.abs(fstar.values - np.eye(2)).max() == 0.0
-
     def test_morphism_adjoint_scalar_metrics(self):
-        # f = c, h1 = e^u1, h2 = e^u2 (f: E1 -> E2): f* = conj(c) e^(u2-u1)
+        # f = c, h1 = e^u1, h2 = e^u2 (f: E1 -> E2): f* = h1^-1 conj(c) h2 = conj(c) e^(u2-u1),
+        # the adjoint the coupling terms take of phi and psi
         g = geo.TorusGrid(16)
         c = 0.7 + 0.2j
         x, y = g.coordinates()
         u1 = 0.3 * np.cos(2 * np.pi * x)[..., None, None] + 0j
         u2 = -0.2 * np.sin(2 * np.pi * y)[..., None, None] + 0j
-        h1 = geo.FieldOnTorus(g, geo.FUNCTION, np.exp(u1))
-        h2 = geo.FieldOnTorus(g, geo.FUNCTION, np.exp(u2))
-        f = geo.constant_field(g, [[c]])
-        fstar = higgs.morphism_adjoint(f, h1, h2)
-        assert np.abs(fstar.values - np.conj(c) * np.exp(u2 - u1)).max() < 1e-13
+        fstar = higgs._adjoint(geo.constant_field(g, [[c]]).values, 1.0 / np.exp(u1), np.exp(u2))
+        assert np.abs(fstar - np.conj(c) * np.exp(u2 - u1)).max() < 1e-13
 
     def test_morphism_defining_property_and_involution(self):
         rng = np.random.default_rng(9)
         g = geo.TorusGrid(8)
         fv = rng.standard_normal((g.n, g.n, 1, 2)) + 1j * rng.standard_normal((g.n, g.n, 1, 2))
-        f = geo.FieldOnTorus(g, geo.FUNCTION, fv)  # psi-shaped: E2 -> E1
-        from conftest import random_hermitian_log
-
-        h1 = geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(random_hermitian_log(g, (0,), rng)))
-        h2 = geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(random_hermitian_log(g, (0, 0), rng)))
-        fstar = higgs.morphism_adjoint(f, h2, h1)
+        h1 = higgs.expm_hermitian(random_hermitian_log(g, (0,), rng))       # f: E2 -> E1, psi-shaped
+        h2 = higgs.expm_hermitian(random_hermitian_log(g, (0, 0), rng))
+        inv1, inv2 = higgs.metric_inverse(h1), higgs.metric_inverse(h2)
+        fstar = higgs._adjoint(fv, inv2, h1)
         adj = geo.adjoint_values
         s = rng.standard_normal((g.n, g.n, 2, 1)) + 0j
         t = rng.standard_normal((g.n, g.n, 1, 1)) + 0j
-        lhs = adj(t) @ h1.values @ (fv @ s)           # h1(f s, t)
-        rhs = adj(fstar.values @ t) @ h2.values @ s   # h2(s, f* t)
+        lhs = adj(t) @ h1 @ (fv @ s)           # h1(f s, t)
+        rhs = adj(fstar @ t) @ h2 @ s          # h2(s, f* t)
         assert np.abs(lhs - rhs).max() < 1e-12
-        fss = higgs.morphism_adjoint(fstar, h1, h2)
-        assert np.abs(fss.values - fv).max() < 1e-12
+        assert np.abs(higgs._adjoint(fstar, inv1, h2) - fv).max() < 1e-12
 
 
 class TestBracket:
@@ -196,8 +183,6 @@ class TestBracket:
         g = geo.TorusGrid(16)
         tv = rng.standard_normal((g.n, g.n, 2, 2)) + 1j * rng.standard_normal((g.n, g.n, 2, 2))
         theta = geo.FieldOnTorus(g, geo.FORM_10, tv)
-        from conftest import random_hermitian_log
-
         h = geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(random_hermitian_log(g, (0, 0), rng)))
         br = higgs.bracket_theta(theta, higgs.higgs_adjoint(theta, h))
         assert br.trace().sup_norm() < 1e-12

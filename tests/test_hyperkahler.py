@@ -7,7 +7,7 @@ from dcvortex import geometry as geo
 from dcvortex import higgs, hyperkahler as hk, vortex
 from dcvortex.errors import ConstraintError
 
-from conftest import psi_entry
+from conftest import psi_entry, unit_metrics
 
 
 def slots(t):
@@ -37,6 +37,49 @@ def loop_smooth_matrix(grid, ro, ri, rng, amplitude, modes):
             coeff = rng.standard_normal((ro, ri)) + 1j * rng.standard_normal((ro, ri))
             out += np.exp(2j * np.pi * (p * x + q * y))[..., None, None] * coeff
     return out * (amplitude / geo.sup_norm(out))
+
+
+def configuration_from_solution(q, h):
+    """The metric pair h as a point of M over unit metrics, by conjugating with g_i = h_i^(1/2).
+
+    The connection perturbation becomes g^-1 del g, theta' = g theta g^-1
+    enters as the (1,0)-coefficient -i theta' of Phi, and the couplings
+    conjugate accordingly.
+    """
+    def sqrt_and_inverse(m):
+        w, v = np.linalg.eigh(m.values)
+        root = (v * np.sqrt(w)[..., None, :]) @ geo.adjoint_values(v)
+        return root, higgs.metric_inverse(root)
+
+    (g1, g1_inv), (g2, g2_inv) = sqrt_and_inverse(h.h1), sqrt_and_inverse(h.h2)
+    return hk.Configuration(
+        q.grid, tuple(q.block_degrees1), tuple(q.block_degrees2),
+        a1=g1_inv @ geo._d_z(g1), p1=-1j * g1 @ q.theta1.values @ g1_inv,
+        a2=g2_inv @ geo._d_z(g2), p2=-1j * g2 @ q.theta2.values @ g2_inv,
+        phi=g2 @ q.phi.values @ g1_inv, psi=g1 @ q.psi.values @ g2_inv,
+    )
+
+
+def level_set_defect(x, c):
+    """Sup distance of Lambda(mu_I) from the central value (-2 pi i tau Id, -2 pi i tau' Id)."""
+    return max(
+        geo.sup_norm(geo.lambda_contract(mu).values + 2j * np.pi * float(t) * np.eye(r))
+        for mu, t, r in zip(hk.moment_mu_I(x), (c.tau, c.tau_prime), (x.r1, x.r2))
+    )
+
+
+def constraint_residual(x):
+    """Sup of the holomorphy constraints that cut N out of M; each (0,1)-coefficient is -C^dagger."""
+    d1, d2 = -geo.adjoint_values(x.a1), -geo.adjoint_values(x.a2)
+
+    def dbar_cov(values, left, right):
+        return geo.sup_norm(geo._d_zbar(values) + left @ values - values @ right)
+
+    return max(
+        dbar_cov(x.p1, d1, d1), dbar_cov(x.p2, d2, d2), dbar_cov(x.phi, d2, d1), dbar_cov(x.psi, d1, d2),
+        geo.sup_norm(x.p2 @ x.phi - x.phi @ x.p1), geo.sup_norm(x.p1 @ x.psi - x.psi @ x.p2),
+        geo.sup_norm(x.phi @ x.psi), geo.sup_norm(x.psi @ x.phi),
+    )
 
 
 class TestRandomSmoothMatrix:
@@ -179,20 +222,18 @@ class TestSolutionCharacterization:
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
         h, rep = vortex.solve(q, c, vortex.SolveOptions(target_residual=1e-10))
         assert rep.converged
-        x = hk.configuration_from_solution(q, h, c)
-        assert hk.level_set_defect(x, c) < 1e-8
-        res = hk.constraint_residuals(x)
-        assert max(res.values()) < 1e-9
+        x = configuration_from_solution(q, h)
+        assert level_set_defect(x, c) < 1e-8
+        assert constraint_residual(x) < 1e-9
 
     def test_non_solution_off_level_set(self):
         g = geo.TorusGrid(16)
         q = psi_entry(g)
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
-        x = hk.configuration_from_solution(q, higgs.trivial_metrics(q), c)
+        h = unit_metrics(q)
         # flat metrics do not solve the tau = 1 system
-        ok, _, _ = vortex.is_solution(q, higgs.trivial_metrics(q), c, tol=1e-8)
-        assert not ok
-        assert hk.level_set_defect(x, c) > 1.0
+        assert vortex.residual(q, h, c).sup() > 1e-8
+        assert level_set_defect(configuration_from_solution(q, h), c) > 1.0
 
     def test_degree_shifted_flat_solution_is_central(self):
         # d = (1, -1), tau = 1: the zero configuration over the constant
@@ -201,7 +242,7 @@ class TestSolutionCharacterization:
         z = np.zeros((8, 8, 1, 1), dtype=complex)
         x = hk.Configuration(g, (1,), (-1,), z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy())
         c = vortex.constants_from_tau(1, 1, 1, 1, -1)
-        assert hk.level_set_defect(x, c) < 1e-12
+        assert level_set_defect(x, c) < 1e-12
 
     def test_level_set_matches_residual_norm(self):
         # the defect of mu_I equals the vortex residual sup after conjugation
@@ -209,7 +250,5 @@ class TestSolutionCharacterization:
         q = psi_entry(g)
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
         h, _ = vortex.solve(q, c, vortex.SolveOptions(target_residual=1e-6))
-        x = hk.configuration_from_solution(q, h, c)
-        ok, s1, s2 = vortex.is_solution(q, h, c, tol=1e-5)
-        defect = hk.level_set_defect(x, c)
-        assert defect == pytest.approx(max(s1, s2), rel=1e-3)
+        defect = level_set_defect(configuration_from_solution(q, h), c)
+        assert defect == pytest.approx(vortex.residual(q, h, c).sup(), rel=1e-3)

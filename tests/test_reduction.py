@@ -10,10 +10,34 @@ from dcvortex import higgs, reduction, vortex
 from dcvortex.errors import ConstraintError, DomainError
 from dcvortex.reduction import InvariantConnectionData, P1LineData
 
-from conftest import psi_entry, random_hermitian_log
+from conftest import psi_entry, random_hermitian_log, unit_metrics
 
 
 RING = np.exp(2j * np.pi * np.arange(64) / 64)
+
+
+def transition_defect(n, z):
+    """Sup |h_w(1/z) - |z^n|^2 h_z(z)| of O(n)'s metric on the overlap, with e_{n,w} = z^n e_{n,z}."""
+    line = P1LineData(n)
+    return np.max(np.abs(line.metric(1 / z) - np.abs(z**n) ** 2 * line.metric(z)))
+
+
+def form_pullback_defects(z):
+    """alpha and beta read in the w chart, pulled back to z: sup distance from the z-chart formulas."""
+    w = 1 / z
+    # dwbar = -zbar^-2 dzbar, e_{-2,w} = z^-2 e_{-2,z}
+    alpha = reduction.alpha_coeff("w", w) * (-np.conj(z) ** -2) * z**-2
+    # dw = -z^-2 dz, e_{2,w} = z^2 e_{2,z}
+    beta = reduction.beta_coeff("w", w) * (-(z**-2)) * z**2
+    return (
+        np.max(np.abs(alpha - reduction.alpha_coeff("z", z))),
+        np.max(np.abs(beta - reduction.beta_coeff("z", z))),
+    )
+
+
+def invariant_norm_sq(coeff, n, zeta):
+    """|c|^2 h^(n) |dzeta|^2 of an O(n)-valued 1-form c dzeta, with |dzeta|^2 = 2 pi (1+|zeta|^2)^2 in FS."""
+    return np.abs(coeff) ** 2 * P1LineData(n).metric(zeta) * 2 * np.pi * (1 + np.abs(zeta) ** 2) ** 2
 
 
 class TestLineBundles:
@@ -27,8 +51,8 @@ class TestLineBundles:
 
     def test_transition_on_overlap_ring(self):
         for n in (-2, -1, 1, 2, 4):
-            assert P1LineData(n).transition_defect(RING) < 1e-12
-            assert P1LineData(n).transition_defect(0.9 * RING) < 1e-12
+            assert transition_defect(n, RING) < 1e-12
+            assert transition_defect(n, 0.9 * RING) < 1e-12
 
     def test_fs_contraction_constant(self, charts):
         val = reduction.fs_contraction_constant(2, charts)
@@ -41,19 +65,15 @@ class TestLineBundles:
 
 class TestInvariantForms:
     def test_alpha_beta_chart_consistency(self):
-        assert reduction.alpha_transition_defect(RING) < 1e-10
-        assert reduction.beta_transition_defect(RING) < 1e-10
-        assert reduction.alpha_transition_defect(0.8 * RING) < 1e-10
+        for z in (RING, 0.8 * RING):
+            assert max(form_pullback_defects(z)) < 1e-10
 
     def test_invariant_norms_constant(self, charts):
-        pts = np.concatenate([c.points for c in charts])
-        na = reduction.invariant_norm_alpha(pts)
-        nb = reduction.invariant_norm_beta(pts)
-        assert np.max(np.abs(na - na.mean())) < 1e-10
-        assert np.max(np.abs(nb - nb.mean())) < 1e-10
-
-    def test_raw_alpha_norm_at_origin(self):
-        assert reduction.raw_norm_alpha(np.array([0.0 + 0j]))[0] == pytest.approx(1.0)
+        # SU(2)-invariant forms have constant norm, 2 pi for alpha in O(-2) and beta in O(2)
+        for c in charts:
+            for coeff, n in ((reduction.alpha_coeff, -2), (reduction.beta_coeff, 2)):
+                norm = invariant_norm_sq(coeff(c.chart_id, c.points), n, c.points)
+                assert np.abs(norm - 2 * np.pi).max() < 1e-10
 
     def test_calibration_constants(self):
         forms = reduction.calibrate_alpha_beta(2.0)
@@ -74,7 +94,7 @@ class TestAssemblyAndHE:
             geo.zero_field(g, 1, 1, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
-        asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=10)
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=10)
         assert asm.points.shape == (10,) and asm.ij.shape == (10, 2)
         for blocks in (asm.dbar_off, asm.theta_off, asm.metric):
             assert blocks.shape == (10, 2, 2)
@@ -88,7 +108,7 @@ class TestAssemblyAndHE:
         q = psi_entry(g)
         for n_points in (0, -5):
             with pytest.raises(DomainError):
-                reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=n_points)
+                reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=n_points)
             with pytest.raises(DomainError):
                 reduction.integrability_residual(q, 2.0, n_points=n_points)
 
@@ -102,7 +122,7 @@ class TestAssemblyAndHE:
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
-        asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=20)
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=20)
         he = reduction.he_residual_product(asm, c)
         assert he.sup_diagonal == pytest.approx(2 * np.pi, rel=1e-9)
 
@@ -110,9 +130,8 @@ class TestAssemblyAndHE:
         # the product Hermitian-Einstein residual vanishes with sigma = 2
         q, c = self._flat_shifted()
         assert c.sigma == Fraction(2) and c.tau_prime == Fraction(-1)
-        h = higgs.trivial_metrics(q)
-        ok, s1, s2 = vortex.is_solution(q, h, c, tol=1e-12)
-        assert ok
+        h = unit_metrics(q)
+        assert vortex.residual(q, h, c).sup() < 1e-12
         asm = reduction.assemble_F(q, h, 2.0, n_points=40)
         he = reduction.he_residual_product(asm, c)
         assert he.sup_diagonal < 1e-9
@@ -134,7 +153,7 @@ class TestAssemblyAndHE:
         # flat solution by |pi|
         q, c = self._flat_shifted()
         monkeypatch.setattr(reduction, "lambda_weights", lambda sigma: (2.0 / sigma, 1.0 / sigma))
-        asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=20)
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=20)
         he = reduction.he_residual_product(asm, c)
         assert he.sup_diagonal > 1.0
 
@@ -148,7 +167,7 @@ class TestAssemblyAndHE:
             reduction, "alpha_coeff",
             lambda chart_id, zeta: (1.0 if chart_id == "z" else -1.0) / (1.0 + np.abs(zeta) ** 2),
         )
-        asm = reduction.assemble_F(q, higgs.trivial_metrics(q), 2.0, n_points=40)
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=40)
         he = reduction.he_residual_product(asm, c)
         assert he.sup_offdiagonal > 1e-8
 
@@ -195,7 +214,7 @@ class TestAssemblyAndHE:
         g = geo.TorusGrid(8)
         q = psi_entry(g)
         with pytest.raises(DomainError):
-            reduction.assemble_F(q, higgs.trivial_metrics(q), 0.0, n_points=4)
+            reduction.assemble_F(q, unit_metrics(q), 0.0, n_points=4)
         with pytest.raises(DomainError):
             reduction.calibrate_alpha_beta(-1.0)
 

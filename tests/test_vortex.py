@@ -16,6 +16,7 @@ from conftest import (
     random_fraction,
     random_hermitian_log,
     random_metric_pair,
+    unit_metrics,
 )
 
 
@@ -72,7 +73,7 @@ class TestResidual:
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         c = vortex.constants_from_tau(0, 1, 1, 0, 0)
-        res = vortex.residual(q, higgs.trivial_metrics(q), c)
+        res = vortex.residual(q, unit_metrics(q), c)
         assert res.sup() == 0.0
 
     def test_constants_only(self):
@@ -83,7 +84,7 @@ class TestResidual:
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         c = vortex.constants_from_tau(1, 1, 1, 0, 0)
-        res = vortex.residual(q, higgs.trivial_metrics(q), c)
+        res = vortex.residual(q, unit_metrics(q), c)
         assert np.abs(res.R1.values - 2j * np.pi).max() < 1e-14
         assert np.abs(res.R2.values + 2j * np.pi).max() < 1e-14
 
@@ -92,9 +93,24 @@ class TestResidual:
         g = geo.TorusGrid(8)
         q = psi_entry(g)
         c = vortex.constants_from_tau(1, 1, 1, 0, 0)
-        res = vortex.residual(q, higgs.trivial_metrics(q), c)
+        res = vortex.residual(q, unit_metrics(q), c)
         assert np.abs(res.R1.values - (-1j + 2j * np.pi)).max() < 1e-13
         assert np.abs(res.R2.values - (1j - 2j * np.pi)).max() < 1e-13
+
+    def test_nilpotent_rank2_hand_value(self):
+        # theta1 = [[0,1],[0,0]] dz on O + O, h1 = diag(3, 1/2), E2 = O, tau = 1:
+        # theta1^dagger = [[0,0],[6,0]] dzbar, so [theta1, theta1^dagger] = diag(6, -6)
+        # and R1 = -2i diag(6, -6) + 2 pi i Id; a normal theta would give 0 here
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(
+            g, (0, 0), (0,),
+            geo.constant_field(g, [[0, 1], [0, 0]], geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 2), geo.zero_field(g, 2, 1),
+        ).validate()
+        c = vortex.constants_from_tau(1, 2, 1, 0, 0)
+        h = higgs.MetricPair(geo.constant_field(g, np.diag([3.0, 0.5])), geo.identity_field(g, 1))
+        res = vortex.residual(q, h, c)
+        assert np.abs(res.R1.values - (-2j * np.diag([6.0, -6.0]) + 2j * np.pi * np.eye(2))).max() < 1e-13
 
     def test_i_times_residual_is_self_adjoint(self):
         # h-self-adjointness holds up to the Fourier tail of exp(s); n = 32
