@@ -62,7 +62,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
         command="solve",
         seed=seed,
         constants=_constants_block(c),
-        provenance=provenance_block(cfg.raw_text, seed),
+        provenance=provenance_block(cfg.raw_text),
     )
     report.checks.append(make_check("final_sup_residual", rep.sup(), target))
     identity = vortex.trace_identity_check(q, h, c)
@@ -94,7 +94,7 @@ def cmd_stability(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
         command="stability",
         seed=seed,
         constants=_constants_block(c),
-        provenance=provenance_block(cfg.raw_text, seed),
+        provenance=provenance_block(cfg.raw_text),
     )
     report.checks.append(make_check("theta_mu_equivalence_identity", 0.0 if equiv else 1.0, 0.5))
     report.checks.append(
@@ -125,26 +125,25 @@ def cmd_stability(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
 def cmd_verify_reduction(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
     q, c, h, rep, csv_path = _solve_pipeline(cfg, out_dir)
     rng = np.random.default_rng(seed if seed is not None else 0)
-    charts = geo.p1_quadrature(cfg.n_radial, cfg.n_angular)
+    disk = geo.p1_quadrature(cfg.n_radial, cfg.n_angular)
     sigma = float(c.sigma)
-    assembled = reduction.assemble_F(
-        q, h, sigma, n_points=cfg.n_product_points, rng=rng, charts=charts
-    )
+    samples = reduction.random_product_points(q.grid, cfg.n_product_points, rng)
+    assembled = reduction.assemble_F(q, h, sigma, samples)
     he = reduction.he_residual_product(assembled, c)
-    integ = reduction.integrability_residual(q, sigma, n_points=cfg.n_product_points, rng=rng)
+    integ = reduction.integrability_residual(q, sigma, samples)
     report = Report(
         command="verify-reduction",
         seed=seed,
         constants=_constants_block(c),
-        provenance=provenance_block(cfg.raw_text, seed),
+        provenance=provenance_block(cfg.raw_text),
     )
     report.checks.append(make_check("solver_converged", rep.sup(), cfg.solver.target_residual))
     report.checks.append(make_check("he_product_residual", he.sup_diagonal, check_tol or cfg.check_tol or 1e-6))
     report.checks.append(make_check("he_offdiagonal", he.sup_offdiagonal, 1e-8))
     report.checks.append(make_check("integrability", integ.total, 1e-9))
     for n in range(-4, 5):
-        report.checks.append(make_check(f"deg_p1({n})", abs(reduction.deg_p1(n, charts) - n), 1e-6))
-    fs_const = reduction.fs_contraction_constant(2, charts)
+        report.checks.append(make_check(f"deg_p1({n})", abs(reduction.deg_p1(n, disk) - n), 1e-6))
+    fs_const = reduction.fs_contraction_constant(2, disk)
     report.checks.append(make_check("fs_contraction_constant", abs(fs_const + 4j * np.pi), 1e-8))
     report.verification = {
         "lambda_used": [he.lambda_used.real, he.lambda_used.imag],
@@ -188,7 +187,7 @@ def cmd_verify_hk(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
         command="verify-hk",
         seed=seed,
         constants=_constants_block(c),
-        provenance=provenance_block(cfg.raw_text, seed),
+        provenance=provenance_block(cfg.raw_text),
     )
     report.checks.append(make_check("quaternion_relations", quat_worst, 1e-12))
     report.checks.append(make_check("moment_map_identity", moment_worst, check_tol or cfg.check_tol or 1e-6))
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--out", default="out")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=None)
     return parser
 
 

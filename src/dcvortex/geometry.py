@@ -1,4 +1,4 @@
-"""Spectral calculus on the flat square torus and chart quadrature on P^1.
+"""Spectral calculus on the flat square torus and unit-disk quadrature on P^1.
 
 Conventions fixed here once for the whole package:
 
@@ -10,6 +10,8 @@ Conventions fixed here once for the whole package:
 * P^1 is covered by two closed unit disks C_z and C_w glued along
   |z| = 1 by w = 1/z.  The Fubini-Study form has z-chart density
   (1/pi)(1+|z|^2)^-2 per unit area, total mass 1, half per chart.
+  Every integrand on P^1 here is SU(2)-invariant, with the same closed
+  form in both charts, so one disk's quadrature serves for both.
 """
 
 from __future__ import annotations
@@ -245,33 +247,29 @@ def sup_norm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
-# -- P^1 charts and quadrature ----------------------------------------------
+# -- P^1 quadrature on one unit disk -----------------------------------------
 
 @dataclass(frozen=True)
-class P1Chart:
-    """Quadrature nodes on one closed unit-disk chart of P^1.
+class P1Disk:
+    """Quadrature nodes on the closed unit disk, standing for either chart of P^1.
 
     points are chart coordinates, weights are plain area weights so that
     sum(w * f(points)) approximates the area integral of f over the disk.
+    The two charts cover P^1 with overlap only on |zeta| = 1, and every
+    SU(2)-invariant integrand has the same closed form in both, so a
+    P^1 integral is twice the disk sum.
     """
 
-    chart_id: str
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.chart_id not in ("z", "w"):
-            raise ValueError("chart_id must be 'z' or 'w'")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
 
 
-def p1_quadrature(n_radial: int = 24, n_angular: int = 24) -> tuple[P1Chart, P1Chart]:
-    """Gauss-Legendre radial times uniform angular nodes on both charts.
-
-    The two charts cover P^1 with overlap only on |z| = 1; each carries
-    exactly half of the Fubini-Study mass.
-    """
+def p1_quadrature(n_radial: int = 24, n_angular: int = 24) -> P1Disk:
+    """Gauss-Legendre radial times uniform angular nodes on the unit disk."""
     if n_radial < 8 or n_angular < 8:
         raise ValueError("quadrature resolutions must be >= 8")
     nodes, w = np.polynomial.legendre.leggauss(n_radial)
@@ -281,25 +279,10 @@ def p1_quadrature(n_radial: int = 24, n_angular: int = 24) -> tuple[P1Chart, P1C
     wt = 2.0 * np.pi / n_angular
     pts = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     wts = (wr[:, None] * r[:, None] * wt * np.ones_like(theta)[None, :]).ravel()
-    return P1Chart("z", pts, wts), P1Chart("w", pts.copy(), wts.copy())
+    return P1Disk(pts, wts)
 
 
-def fs_density(zeta: np.ndarray) -> np.ndarray:
-    """Fubini-Study area density (1/pi)(1+|zeta|^2)^-2, same in either chart."""
-    return (1.0 / np.pi) / (1.0 + np.abs(zeta) ** 2) ** 2
-
-
-def fs_integrate(charts: tuple[P1Chart, P1Chart], f_z, f_w) -> complex:
-    """Integrate a function against the Fubini-Study form over both charts."""
-    cz, cw = charts
-    total = np.sum(cz.weights * fs_density(cz.points) * f_z(cz.points))
-    total += np.sum(cw.weights * fs_density(cw.points) * f_w(cw.points))
-    return complex(total)
-
-
-def integrate_two_form(charts: tuple[P1Chart, P1Chart], g_z, g_w) -> complex:
-    """Integrate g dzeta^dzetabar given the coefficient g in each chart."""
-    cz, cw = charts
-    total = np.sum(cz.weights * g_z(cz.points))
-    total += np.sum(cw.weights * g_w(cw.points))
+def integrate_two_form(disk: P1Disk, g) -> complex:
+    """Integrate g dzeta^dzetabar over P^1 for a coefficient g that is the same in both charts."""
+    total = 2.0 * np.sum(disk.weights * g(disk.points))
     return complex(-2j * total)

@@ -119,9 +119,11 @@ def apply_K(a: TangentData) -> TangentData:
 
 
 def quaternion_defect(a: TangentData) -> float:
-    """Sup over the slots of I^2 a + a, J^2 a + a, K^2 a + a and K a - I J a."""
-    squares = max(geo.sup_norm(x + y) for op in (apply_I, apply_J, apply_K) for x, y in zip(op(op(a)), a))
-    return max(squares, *(geo.sup_norm(x - y) for x, y in zip(apply_K(a), apply_I(apply_J(a)))))
+    """Sup over the slots of I^2 a + a, J^2 a + a and K^2 a + a.
+
+    K = I J by definition, so K^2 = -1 holds iff I J = -J I given I^2 = J^2 = -1.
+    """
+    return max(geo.sup_norm(x + y) for op in (apply_I, apply_J, apply_K) for x, y in zip(op(op(a)), a))
 
 
 def omega_I(a: TangentData, b: TangentData) -> float:

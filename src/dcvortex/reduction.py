@@ -3,18 +3,23 @@
 The product bundle is F = p*E1 + p*E2 (x) q*O(2) with block metric
 H = diag(h1, h2 h^(2)); the coupling psi rides the invariant (0,1)-form
 alpha of O(-2), phi rides the invariant (1,0)-form beta of O(2).  All P^1
-data are closed-form in the two unit-disk charts; quadrature only
+data are closed forms on one unit disk: SU(2) acts transitively on P^1,
+so every invariant block has the same formula in both charts.  alpha and
+beta change sign in the w chart, which cancels in B B*, P P* and every
+absolute value, so the z-chart formulas stand for both.  Quadrature only
 integrates and samples.
 
 Contraction weights: Omega_sigma = (sigma/2) omega + omega_P1, so
 Lambda_sigma(p*omega) = 2/sigma and Lambda_sigma(q*omega_P1) = 1.
 
-The product checks make one array pass over N sample points (torus
-index, chart, P^1 coordinate), drawn in bulk: `assemble_F` builds the
-(N, r, r) block arrays of F, `product_residual_blocks` reads them with
-batched matmuls and adds the X part of the curvature from
-`higgs.residual_terms`, and the finite-difference defects of alpha and
-beta run on the coordinate array once per chart.
+The product checks make one array pass over one set of N sample points
+(torus index, P^1 coordinate), drawn in bulk by `random_product_points`
+and shared by both checks: `assemble_F` builds the (N, r, r) block arrays
+of F, `product_residual_blocks` reads them with batched matmuls and adds
+the X part of the curvature from `higgs.residual_terms`, and
+`integrability_residual` weighs the (dbar_F + theta_F)^2 components at the
+same points.  The Hermitian-Einstein constant is the closed form
+`VortexConstants.lambda_he`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from . import geometry as geo
 from . import higgs
 from .errors import ConstraintError, DomainError
-from .geometry import P1Chart, TorusGrid
+from .geometry import P1Disk, TorusGrid
 from .higgs import MetricPair, QuadrupletSpec
 from .vortex import VortexConstants
 
@@ -56,25 +61,21 @@ def lambda_p1(coeff, zeta, weight: float = 1.0):
     return weight * (-TWO_PI * 1j) * coeff * (1.0 + np.abs(zeta) ** 2) ** 2
 
 
-def deg_p1(n: int, charts: Optional[tuple[P1Chart, P1Chart]] = None) -> float:
-    """(i/2pi) integral of the curvature 2-form of h^(n) by two-chart quadrature."""
+def deg_p1(n: int, disk: Optional[P1Disk] = None) -> float:
+    """(i/2pi) integral of the curvature 2-form of h^(n) by unit-disk quadrature."""
     if abs(n) > 8:
         raise DomainError("deg_p1 validated only for |n| <= 8")
-    if charts is None:
-        charts = geo.p1_quadrature()
-    line = P1LineData(n)
-    total = geo.integrate_two_form(charts, line.curvature_coeff, line.curvature_coeff)
+    if disk is None:
+        disk = geo.p1_quadrature()
+    total = geo.integrate_two_form(disk, P1LineData(n).curvature_coeff)
     return float((1j / TWO_PI * total).real)
 
 
-def fs_contraction_constant(n: int = 2, charts: Optional[tuple[P1Chart, P1Chart]] = None) -> complex:
+def fs_contraction_constant(n: int = 2, disk: Optional[P1Disk] = None) -> complex:
     """Lambda_P1 of the curvature of h^(n); equals -2 pi i n, checked constant."""
-    if charts is None:
-        charts = geo.p1_quadrature()
-    line = P1LineData(n)
-    values = np.concatenate(
-        [lambda_p1(line.curvature_coeff(c.points), c.points) for c in charts]
-    )
+    if disk is None:
+        disk = geo.p1_quadrature()
+    values = lambda_p1(P1LineData(n).curvature_coeff(disk.points), disk.points)
     mean = complex(values.mean())
     spread = float(np.max(np.abs(values - mean)))
     if spread > 1e-8:
@@ -84,16 +85,14 @@ def fs_contraction_constant(n: int = 2, charts: Optional[tuple[P1Chart, P1Chart]
 
 # -- invariant forms alpha, beta ----------------------------------------------
 
-def alpha_coeff(chart_id: str, zeta) -> np.ndarray:
-    """Chart coefficient of alpha (O(-2)-valued (0,1)-form)."""
-    sign = 1.0 if chart_id == "z" else -1.0
-    return sign / (1.0 + np.abs(zeta) ** 2) ** 2
+def alpha_coeff(zeta) -> np.ndarray:
+    """Chart coefficient of alpha (O(-2)-valued (0,1)-form); minus this in the w chart."""
+    return 1.0 / (1.0 + np.abs(zeta) ** 2) ** 2
 
 
-def beta_coeff(chart_id: str, zeta) -> np.ndarray:
-    """Chart coefficient of beta (O(2)-valued (1,0)-form)."""
-    sign = 1.0 if chart_id == "z" else -1.0
-    return sign * np.ones_like(np.asarray(zeta, dtype=complex))
+def beta_coeff(zeta) -> np.ndarray:
+    """Chart coefficient of beta (O(2)-valued (1,0)-form); minus this in the w chart."""
+    return np.ones_like(np.asarray(zeta, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -135,31 +134,28 @@ def _log_h_m2(zeta):
     return np.log(P1LineData(-2).metric(zeta))
 
 
-def covariant_alpha_defect(chart_id: str, zeta) -> np.ndarray:
-    """Chern-covariant del of alpha in chart (vanishes: alpha is invariant)."""
-    def coeff(z):
-        return alpha_coeff(chart_id, z)
-
-    return _wirtinger(coeff, zeta) + coeff(zeta) * _wirtinger(_log_h_m2, zeta)
+def covariant_alpha_defect(zeta) -> np.ndarray:
+    """Chern-covariant del of alpha (vanishes: alpha is invariant)."""
+    return _wirtinger(alpha_coeff, zeta) + alpha_coeff(zeta) * _wirtinger(_log_h_m2, zeta)
 
 
-def covariant_beta_star_defect(chart_id: str, zeta) -> np.ndarray:
+def covariant_beta_star_defect(zeta) -> np.ndarray:
     """Chern-covariant del of the adjoint-side O(-2)-valued scalar of B*."""
     def coeff(z):
-        return np.conj(beta_coeff(chart_id, z)) * P1LineData(2).metric(z)
+        return np.conj(beta_coeff(z)) * P1LineData(2).metric(z)
 
     return _wirtinger(coeff, zeta) + coeff(zeta) * _wirtinger(_log_h_m2, zeta)
 
 
-def dbar_beta_defect(chart_id: str, zeta) -> np.ndarray:
+def dbar_beta_defect(zeta) -> np.ndarray:
     """dbar of beta's chart coefficient (holomorphic frame, so plain dbar)."""
-    return _wirtinger(lambda z: beta_coeff(chart_id, z), zeta, bar=True)
+    return _wirtinger(beta_coeff, zeta, bar=True)
 
 
-def dbar_alpha_star_defect(chart_id: str, zeta) -> np.ndarray:
+def dbar_alpha_star_defect(zeta) -> np.ndarray:
     """dbar of the O(2)-valued scalar of A* (constant 1, plain dbar)."""
     def coeff(z):
-        return np.conj(alpha_coeff(chart_id, z)) * (1.0 + np.abs(z) ** 2) ** 2
+        return np.conj(alpha_coeff(z)) * (1.0 + np.abs(z) ** 2) ** 2
 
     return _wirtinger(coeff, zeta, bar=True)
 
@@ -167,37 +163,24 @@ def dbar_alpha_star_defect(chart_id: str, zeta) -> np.ndarray:
 # -- product sample points and block arrays ----------------------------------------
 
 class ProductSamples(NamedTuple):
-    """N product sample points, each in one P^1 chart."""
+    """N product sample points: a torus grid index and a P^1 chart coordinate."""
 
     ij: np.ndarray      # (N, 2) torus grid indices
-    in_w: np.ndarray    # (N,) True where zeta is a w-chart coordinate
     zeta: np.ndarray    # (N,) P^1 chart coordinate in the closed unit disk
 
 
 def random_product_points(grid: TorusGrid, n_points: int, rng) -> ProductSamples:
-    """Uniform torus indices, a fair chart choice and zeta uniform on the unit disk."""
+    """Uniform torus indices and zeta uniform on the unit disk."""
     if n_points < 1:
         raise DomainError("product checks need at least one sample point")
     ij = rng.integers(grid.n, size=(n_points, 2))
-    in_w = rng.random(n_points) >= 0.5
     zeta = np.sqrt(rng.random(n_points)) * np.exp(2j * np.pi * rng.random(n_points))
-    return ProductSamples(ij, in_w, zeta)
+    return ProductSamples(ij, zeta)
 
 
-def _per_chart(f, in_w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """f(chart_id, zeta) at every sample, evaluated once per chart."""
-    out = np.empty(zeta.shape, dtype=complex)
-    for chart_id, mask in (("z", ~in_w), ("w", in_w)):
-        out[mask] = f(chart_id, zeta[mask])
-    return out
-
-
-def _calibrated_forms(forms: InvariantForms, in_w: np.ndarray, zeta: np.ndarray):
-    """c_alpha alpha and c_beta beta at every sample, each in its own chart, (N,)."""
-    return (
-        forms.c_alpha * _per_chart(alpha_coeff, in_w, zeta),
-        forms.c_beta * _per_chart(beta_coeff, in_w, zeta),
-    )
+def _calibrated_forms(forms: InvariantForms, zeta: np.ndarray):
+    """c_alpha alpha and c_beta beta at every sample, (N,)."""
+    return forms.c_alpha * alpha_coeff(zeta), forms.c_beta * beta_coeff(zeta)
 
 
 def _block_matrix(n: int, r1: int, r2: int, blocks: dict) -> np.ndarray:
@@ -229,53 +212,27 @@ class AssembledProduct:
     h: MetricPair
     sigma: float
     forms: InvariantForms
-    charts: tuple[P1Chart, P1Chart]
     ij: np.ndarray          # (N, 2) torus grid indices
-    in_w: np.ndarray        # (N,) w-chart mask
     points: np.ndarray      # (N,) P^1 chart coordinates zeta
     dbar_off: np.ndarray    # dzetabar coefficient: psi (x) c_alpha alpha in block (1,2)
     theta_off: np.ndarray   # dzeta coefficient: phi (x) c_beta beta in block (2,1)
     metric: np.ndarray      # H = diag(h1, h2 h^(2)(zeta))
 
 
-def assemble_F(
-    q: QuadrupletSpec,
-    h: MetricPair,
-    sigma: float,
-    n_points: int = 200,
-    rng=None,
-    charts: Optional[tuple[P1Chart, P1Chart]] = None,
-    validate: bool = True,
-) -> AssembledProduct:
-    """Evaluate the block bundle data of F at n_points product sample points."""
+def assemble_F(q: QuadrupletSpec, h: MetricPair, sigma: float, samples: ProductSamples) -> AssembledProduct:
+    """Evaluate the block bundle data of F at the product sample points."""
     if sigma <= 0:
         raise DomainError("assembly needs sigma > 0")
-    if validate:
-        q.validate()
-        h.validate()
-    if charts is None:
-        charts = geo.p1_quadrature()
-    rng = rng or np.random.default_rng(0)
     forms = calibrate_alpha_beta(sigma)
-    ij, in_w, zeta = random_product_points(q.grid, n_points, rng)
+    ij, zeta = samples
     i, j = ij.T
-    a, b = (x[:, None, None] for x in _calibrated_forms(forms, in_w, zeta))
+    a, b = (x[:, None, None] for x in _calibrated_forms(forms, zeta))
     line2 = P1LineData(2).metric(zeta)[:, None, None]
-    r1, r2 = q.r1, q.r2
-    dbar_off = _block_matrix(n_points, r1, r2, {(0, 1): q.psi.values[i, j] * a})
-    theta_off = _block_matrix(n_points, r1, r2, {(1, 0): q.phi.values[i, j] * b})
-    metric = _block_matrix(n_points, r1, r2, {(0, 0): h.h1.values[i, j], (1, 1): h.h2.values[i, j] * line2})
-    return AssembledProduct(q, h, float(sigma), forms, charts, ij, in_w, zeta, dbar_off, theta_off, metric)
-
-
-def volume_product(sigma: float, charts: Optional[tuple[P1Chart, P1Chart]] = None) -> float:
-    """Vol(X x P^1, Omega_sigma) by quadrature (the X factor has unit area)."""
-    if charts is None:
-        charts = geo.p1_quadrature()
-    ones = lambda z: np.ones(np.asarray(z).shape)
-    fs_mass = geo.fs_integrate(charts, ones, ones).real
-    wx, wp = lambda_weights(sigma)
-    return fs_mass / (wx * wp)
+    n, r1, r2 = len(zeta), q.r1, q.r2
+    dbar_off = _block_matrix(n, r1, r2, {(0, 1): q.psi.values[i, j] * a})
+    theta_off = _block_matrix(n, r1, r2, {(1, 0): q.phi.values[i, j] * b})
+    metric = _block_matrix(n, r1, r2, {(0, 0): h.h1.values[i, j], (1, 1): h.h2.values[i, j] * line2})
+    return AssembledProduct(q, h, float(sigma), forms, ij, zeta, dbar_off, theta_off, metric)
 
 
 @dataclass
@@ -317,20 +274,17 @@ def product_residual_blocks(assembled: AssembledProduct, lam: complex) -> np.nda
     return out - lam * np.eye(q.r1 + q.r2)
 
 
-def he_residual_product(assembled: AssembledProduct, c: VortexConstants, lam: Optional[complex] = None) -> HEProductReport:
+def he_residual_product(assembled: AssembledProduct, c: VortexConstants) -> HEProductReport:
     """Sup over sample points of |Lambda_sigma(F + [theta_F, theta_F*]) - lambda Id|.
 
-    The residual is that of `product_residual_blocks`, whose off-diagonal
-    blocks vanish.  The off-diagonal Lambda_sigma content is reported
-    separately: every off-diagonal term is a mixed X/P^1 form, up to the
-    covariant-derivative defects of alpha and beta evaluated here.
+    lambda is the closed form `c.lambda_he`.  The residual is that of
+    `product_residual_blocks`, whose off-diagonal blocks vanish.  The
+    off-diagonal Lambda_sigma content is reported separately: every
+    off-diagonal term is a mixed X/P^1 form, up to the covariant-derivative
+    defects of alpha and beta evaluated here.
     """
-    sigma = assembled.sigma
-    wx, wp = lambda_weights(sigma)
-    if lam is None:
-        vol = volume_product(sigma, assembled.charts)
-        deg = c.d1 + c.d2 + sigma * c.r2
-        lam = -TWO_PI * 1j / vol * deg / (c.r1 + c.r2)
+    wx, wp = lambda_weights(assembled.sigma)
+    lam = c.lambda_he
     sup_diag = geo.sup_norm(product_residual_blocks(assembled, lam))
 
     i, j = assembled.ij.T
@@ -344,7 +298,7 @@ def he_residual_product(assembled: AssembledProduct, c: VortexConstants, lam: Op
         (dbar_beta_defect, phi_scale),
         (covariant_beta_star_defect, phi_scale),
     ):
-        d = np.abs(_per_chart(defect, assembled.in_w, zeta)) * scale
+        d = np.abs(defect(zeta)) * scale
         sup_off = max(sup_off, geo.sup_norm(lambda_p1(d, zeta, wp)))
     return HEProductReport(sup_diag, sup_off, lam, wx, len(zeta))
 
@@ -360,22 +314,20 @@ class IntegrabilityReport:
     psi_phi: float
 
 
-def integrability_residual(q: QuadrupletSpec, sigma: float, n_points: int = 64, rng=None) -> IntegrabilityReport:
-    """Pointwise (dbar_F + theta_F)^2 components at product sample points.
+def integrability_residual(q: QuadrupletSpec, sigma: float, samples: ProductSamples) -> IntegrabilityReport:
+    """Pointwise (dbar_F + theta_F)^2 components at the product sample points.
 
     Zero iff the four defining conditions of the quadruplet hold;
     the phi psi / psi phi products ride alpha^beta and beta^alpha, which are
     nondegenerate, so breaking phi o psi = 0 shows up at full strength.
     """
-    rng = rng or np.random.default_rng(0)
     forms = calibrate_alpha_beta(sigma)
     res = higgs.holomorphy_residuals(q)
     psi, phi = q.psi.values, q.phi.values
     theta1, theta2 = q.theta1.values, q.theta2.values
 
-    ij, in_w, zeta = random_product_points(q.grid, n_points, rng)
-    i, j = ij.T
-    a, b = np.abs(_calibrated_forms(forms, in_w, zeta))
+    i, j = samples.ij.T
+    a, b = np.abs(_calibrated_forms(forms, samples.zeta))
 
     def sup_at(weight, values):
         return geo.sup_norm(weight * _pointwise_sup(values[i, j]))
@@ -467,7 +419,7 @@ def iota_roundtrip(
     grid = grid or TorusGrid(n)
     forms = calibrate_alpha_beta(sigma)
     samples = random_product_points(grid, n_points, rng)
-    a, b = (x[:, None, None] for x in _calibrated_forms(forms, samples.in_w, samples.zeta))
+    a, b = (x[:, None, None] for x in _calibrated_forms(forms, samples.zeta))
     unitary, skew = _pack_connection(data, samples, a, b)
 
     i, j = samples.ij.T

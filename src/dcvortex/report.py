@@ -78,7 +78,7 @@ def config_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def provenance_block(config_text: str, seed: Optional[int]) -> dict:
+def provenance_block(config_text: str) -> dict:
     import numpy
 
     from . import __version__

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from . import higgs
 from .errors import DomainError, ShapeError
 from .geometry import FieldOnTorus
 from .higgs import MetricPair, QuadrupletSpec
+from .stability import _rational
 
 TWO_PI = 2.0 * np.pi
 # O(1) initial step of the preconditioned flow; backtracking settles it
@@ -46,22 +47,17 @@ S_BOUND = 40.0         # |s| beyond this is a scale runaway
 MIN_REL_IMPROVEMENT = 1e-9  # relative progress that resets the patience count
 
 
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 @dataclass(frozen=True)
 class VortexConstants:
     """tau, tau', sigma and the Hermitian-Einstein constant of the product.
 
-    Exact Fractions whenever tau was given as a rational; sigma > 0 is
-    required for anything involving the product geometry, the solver
-    itself runs for any tau.
+    Exact Fractions; sigma > 0 is required for anything involving the
+    product geometry, the solver itself runs for any tau.
     """
 
-    tau: Union[Fraction, float]
-    tau_prime: Union[Fraction, float]
-    sigma: Union[Fraction, float]
+    tau: Fraction
+    tau_prime: Fraction
+    sigma: Fraction
     r1: int
     r2: int
     d1: int
@@ -82,26 +78,21 @@ class VortexConstants:
 
 
 def constants_from_tau(tau, r1: int, r2: int, d1: int, d2: int) -> VortexConstants:
-    """Populate tau' = -(r1 tau - d1 - d2)/r2 and sigma = ((r1+r2)tau - d1 - d2)/r2."""
+    """Populate tau' = -(r1 tau - d1 - d2)/r2 and sigma = ((r1+r2)tau - d1 - d2)/r2.
+
+    tau must be exact (int or Fraction); a float raises TypeError.
+    """
     if r1 < 1 or r2 < 1:
         raise DomainError("ranks must be >= 1")
-    if _is_rational(tau):
-        tau = Fraction(tau)
-        tau_prime = -Fraction(r1 * tau - d1 - d2, 1) / r2
-        sigma = Fraction((r1 + r2) * tau - d1 - d2, 1) / r2
-    else:
-        tau = float(tau)
-        tau_prime = -(r1 * tau - d1 - d2) / r2
-        sigma = ((r1 + r2) * tau - d1 - d2) / r2
+    tau = _rational(tau, "tau")
+    tau_prime = -Fraction(r1 * tau - d1 - d2, 1) / r2
+    sigma = Fraction((r1 + r2) * tau - d1 - d2, 1) / r2
     return VortexConstants(tau, tau_prime, sigma, r1, r2, d1, d2)
 
 
 def constants_from_sigma(sigma, r1: int, r2: int, d1: int, d2: int) -> VortexConstants:
-    """Inverse relation tau = (d1 + d2 + sigma r2)/(r1 + r2); exact for rationals."""
-    if _is_rational(sigma):
-        tau = Fraction(d1 + d2 + Fraction(sigma) * r2, 1) / (r1 + r2)
-    else:
-        tau = (d1 + d2 + float(sigma) * r2) / (r1 + r2)
+    """Inverse relation tau = (d1 + d2 + sigma r2)/(r1 + r2); sigma must be exact, as tau."""
+    tau = Fraction(d1 + d2 + _rational(sigma, "sigma") * r2, 1) / (r1 + r2)
     return constants_from_tau(tau, r1, r2, d1, d2)
 
 

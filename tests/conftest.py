@@ -15,8 +15,23 @@ from dcvortex.higgs import MetricPair, QuadrupletSpec
 
 
 @pytest.fixture(scope="session")
-def charts():
+def disk():
     return geo.p1_quadrature()
+
+
+def fs_density(zeta):
+    """Fubini-Study area density (1/pi)(1+|zeta|^2)^-2, same in either chart."""
+    return (1.0 / np.pi) / (1.0 + np.abs(zeta) ** 2) ** 2
+
+
+def fs_integrate(disk, f_z, f_w) -> complex:
+    """Reference integral against the Fubini-Study form: f_z read in the z chart, f_w in the w chart.
+
+    Both charts are the same unit disk, so integrands that differ between
+    the charts can be checked against the one-disk quadrature.
+    """
+    mass = disk.weights * fs_density(disk.points)
+    return complex(np.sum(mass * f_z(disk.points)) + np.sum(mass * f_w(disk.points)))
 
 
 def random_hermitian_log(grid: TorusGrid, degrees, rng, amplitude=0.25, modes=2):

@@ -28,7 +28,7 @@ def report_line(name, value, tol, extra=""):
 
 
 @pytest.fixture(scope="module")
-def charts():
+def disk():
     return geo.p1_quadrature()
 
 
@@ -44,17 +44,17 @@ def solved_entry():
     return q, c, h, rep, elapsed
 
 
-def test_criterion_1_p1_degree_quadrature(charts):
+def test_criterion_1_p1_degree_quadrature(disk):
     start = time.monotonic()
-    worst = max(abs(reduction.deg_p1(n, charts) - n) for n in range(-4, 5))
+    worst = max(abs(reduction.deg_p1(n, disk) - n) for n in range(-4, 5))
     elapsed = time.monotonic() - start
     assert report_line("criterion 1: deg_p1(n) = n for |n| <= 4", worst, 1e-6,
                        f"(runtime {elapsed:.3f}s)")
     assert elapsed < 1.0
 
 
-def test_criterion_2_fs_contraction_constant(charts):
-    value = reduction.fs_contraction_constant(2, charts)
+def test_criterion_2_fs_contraction_constant(disk):
+    value = reduction.fs_contraction_constant(2, disk)
     err = abs(value + 4j * np.pi)
     assert report_line("criterion 2: Lambda F_h(2) = -4 pi i", err, 1e-8)
 
@@ -122,21 +122,21 @@ def test_criterion_6_instability_diagnosis():
                        0.0 if agree else 1.0, 0.0, f"(solver: {rep.message})")
 
 
-def test_criterion_7_dimensional_reduction(solved_entry, charts):
+def test_criterion_7_dimensional_reduction(solved_entry):
     q, c, h, rep, _ = solved_entry
-    rng = np.random.default_rng(7)
-    assembled = reduction.assemble_F(q, h, float(c.sigma), n_points=200, rng=rng, charts=charts)
+    samples = reduction.random_product_points(q.grid, 200, np.random.default_rng(7))
+    assembled = reduction.assemble_F(q, h, float(c.sigma), samples)
     he = reduction.he_residual_product(assembled, c)
     ok_diag = report_line("criterion 7a: product HE residual at 200 points", he.sup_diagonal, 1e-6,
                           f"(rescale constant {he.rescale_constant})")
     ok_off = report_line("criterion 7b: off-diagonal Lambda_sigma blocks", he.sup_offdiagonal, 1e-8)
-    integ = reduction.integrability_residual(q, float(c.sigma), rng=rng)
+    integ = reduction.integrability_residual(q, float(c.sigma), samples)
     ok_int = report_line("criterion 7c: integrability of assembled F", integ.total, 1e-9)
     broken = higgs.QuadrupletSpec(
         q.grid, (0,), (0,), q.theta1, q.theta2,
         geo.constant_field(q.grid, [[1.0]]), geo.constant_field(q.grid, [[1.0]]),
     )
-    integ_broken = reduction.integrability_residual(broken, float(c.sigma), rng=rng)
+    integ_broken = reduction.integrability_residual(broken, float(c.sigma), samples)
     ok_broken = integ_broken.total >= 1e-2
     print(f"{'PASS' if ok_broken else 'FAIL'} criterion 7d: broken phi psi = 0 detected "
           f"(value={integ_broken.total:.3e} >= 1e-2)")

@@ -121,14 +121,17 @@ class TestCommands:
     def test_verify_reduction_command(self, tmp_path, monkeypatch):
         from dcvortex import reduction
 
-        sample_sizes = []
+        seen = {}
 
-        def integrability(q, sigma, n_points, **kwargs):
-            sample_sizes.append(n_points)
-            return original(q, sigma, n_points, **kwargs)
+        def record(name, original):
+            def wrapped(*args):
+                seen[name] = args[-1]
+                return original(*args)
 
-        original = reduction.integrability_residual
-        monkeypatch.setattr(reduction, "integrability_residual", integrability)
+            monkeypatch.setattr(reduction, name, wrapped)
+
+        record("assemble_F", reduction.assemble_F)
+        record("integrability_residual", reduction.integrability_residual)
         text = SMALL_SOLVE + "\n[reduction]\nn_points = 40\n"
         cfg = write_config(tmp_path, text)
         rc = cli.main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "3"])
@@ -136,9 +139,10 @@ class TestCommands:
         report = json.loads((tmp_path / "out" / "verify_reduction_report.json").read_text())
         names = {c["name"] for c in report["checks"]}
         assert {"he_product_residual", "he_offdiagonal", "integrability", "fs_contraction_constant"} <= names
-        # both product checks use the configured sample count
+        # both product checks read one sample set of the configured size
         assert report["verification"]["n_product_points"] == 40
-        assert sample_sizes == [40]
+        assert seen["assemble_F"] is seen["integrability_residual"]
+        assert len(seen["assemble_F"].zeta) == 40
 
 
 class TestConfigHandling:
@@ -209,11 +213,17 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_option_exit_1(self, tmp_path, capsys):
-        # argparse's own usage-error code 2 would read as "a check failed"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--out", str(tmp_path / "out")])
-        assert exc.value.code == 1
-        assert "--config" in capsys.readouterr().err
+        # argparse's own usage-error code 2 would read as "a check failed";
+        # deg-p1 draws nothing at random, so it takes no --seed
+        for argv, flag in (
+            (["solve", "--out", str(tmp_path / "out")], "--config"),
+            (["deg-p1", "2", "--seed", "1", "--out", str(tmp_path / "out")], "--seed"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 1
+            assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tol", ["0", "nan"])
     def test_bad_tol_exit_1(self, tmp_path, capsys, tol):

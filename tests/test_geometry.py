@@ -6,6 +6,8 @@ import pytest
 from dcvortex import geometry as geo
 from dcvortex.errors import FormTypeError
 
+from conftest import fs_density, fs_integrate
+
 
 def stencil_derivative(values, n, axis):
     """4th-order periodic central difference, independent of the FFT path."""
@@ -106,21 +108,20 @@ class TestGrid:
 
 
 class TestP1Quadrature:
-    def test_fs_mass_is_one(self, charts):
+    def test_fs_mass_is_one(self, disk):
         one = lambda z: np.ones(z.shape)
-        assert abs(geo.fs_integrate(charts, one, one) - 1.0) < 1e-8
+        assert abs(fs_integrate(disk, one, one) - 1.0) < 1e-8
 
-    def test_half_mass_per_chart(self, charts):
-        cz, _ = charts
-        mass = np.sum(cz.weights * geo.fs_density(cz.points))
+    def test_half_mass_per_chart(self, disk):
+        mass = np.sum(disk.weights * fs_density(disk.points))
         assert abs(mass - 0.5) < 1e-8
 
-    def test_rational_integral(self, charts):
+    def test_rational_integral(self, disk):
         # int |z|^2/(1+|z|^2) omega = 1/2 by the substitution t = |z|^2;
         # in the w-chart the integrand becomes 1/(1+|w|^2)
         fz = lambda z: np.abs(z) ** 2 / (1 + np.abs(z) ** 2)
         fw = lambda w: 1.0 / (1 + np.abs(w) ** 2)
-        assert abs(geo.fs_integrate(charts, fz, fw) - 0.5) < 1e-6
+        assert abs(fs_integrate(disk, fz, fw) - 0.5) < 1e-6
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_error_decreases_under_doubling(self, k):
@@ -131,7 +132,7 @@ class TestP1Quadrature:
             ch = geo.p1_quadrature(n, n)
             f = lambda z: (1 + np.abs(z) ** 2) ** (-k)
             fw = lambda w: (1 + 1 / np.abs(w) ** 2) ** (-k)
-            return abs(geo.fs_integrate(ch, f, fw) - exact)
+            return abs(fs_integrate(ch, f, fw) - exact)
 
         assert err(16) <= err(8) + 1e-15
 
@@ -139,10 +140,8 @@ class TestP1Quadrature:
         with pytest.raises(ValueError):
             geo.p1_quadrature(4, 24)
 
-    def test_chart_regions_overlap_only_on_unit_circle(self, charts):
-        # nodes are interior to the closed disks, so w = 1/z maps the z-chart
+    def test_chart_regions_overlap_only_on_unit_circle(self, disk):
+        # nodes are interior to the closed disk, so w = 1/z maps the z-chart
         # region onto the complement and no mass is counted twice
-        cz, cw = charts
-        assert np.abs(cz.points).max() < 1.0
-        assert np.abs(1.0 / cz.points).min() > 1.0
-        assert cz.points.shape == cw.points.shape
+        assert np.abs(disk.points).max() < 1.0
+        assert np.abs(1.0 / disk.points).min() > 1.0

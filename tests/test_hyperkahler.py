@@ -136,8 +136,13 @@ class TestQuaternions:
             out = apply_J(t)
             return out._replace(a1=-out.a1)
 
-        monkeypatch.setattr(hk, "apply_J", flipped_J)
-        assert hk.quaternion_defect(a) > 1e-1
+        def commuting_J(t):
+            # i on every slot commutes with I and squares to -1, but then (I J)^2 = +1
+            return hk.TangentData(*(1j * x for x in t))
+
+        for broken_J in (flipped_J, commuting_J):
+            monkeypatch.setattr(hk, "apply_J", broken_J)
+            assert hk.quaternion_defect(a) > 1e-1
 
     def test_J_slot_bookkeeping(self, small_grid):
         # a with only an f slot maps to only a g slot, the adjoint of f

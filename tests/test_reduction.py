@@ -10,7 +10,7 @@ from dcvortex import higgs, reduction, vortex
 from dcvortex.errors import ConstraintError, DomainError
 from dcvortex.reduction import InvariantConnectionData, P1LineData
 
-from conftest import psi_entry, random_hermitian_log, unit_metrics
+from conftest import fs_integrate, psi_entry, random_hermitian_log, unit_metrics
 
 
 RING = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -23,16 +23,23 @@ def transition_defect(n, z):
 
 
 def form_pullback_defects(z):
-    """alpha and beta read in the w chart, pulled back to z: sup distance from the z-chart formulas."""
+    """alpha and beta read in the w chart, pulled back to z: sup distance from the z-chart formulas.
+
+    In the w chart alpha = -(1+|w|^2)^-2 dwbar (x) e_{-2,w} and beta = -dw (x) e_{2,w}.
+    """
     w = 1 / z
     # dwbar = -zbar^-2 dzbar, e_{-2,w} = z^-2 e_{-2,z}
-    alpha = reduction.alpha_coeff("w", w) * (-np.conj(z) ** -2) * z**-2
+    alpha = -1.0 / (1.0 + np.abs(w) ** 2) ** 2 * (-np.conj(z) ** -2) * z**-2
     # dw = -z^-2 dz, e_{2,w} = z^2 e_{2,z}
-    beta = reduction.beta_coeff("w", w) * (-(z**-2)) * z**2
+    beta = -1.0 * (-(z**-2)) * z**2
     return (
-        np.max(np.abs(alpha - reduction.alpha_coeff("z", z))),
-        np.max(np.abs(beta - reduction.beta_coeff("z", z))),
+        np.max(np.abs(alpha - reduction.alpha_coeff(z))),
+        np.max(np.abs(beta - reduction.beta_coeff(z))),
     )
+
+
+def samples(q, n_points, seed=0):
+    return reduction.random_product_points(q.grid, n_points, np.random.default_rng(seed))
 
 
 def invariant_norm_sq(coeff, n, zeta):
@@ -42,8 +49,8 @@ def invariant_norm_sq(coeff, n, zeta):
 
 class TestLineBundles:
     @pytest.mark.parametrize("n", range(-4, 5))
-    def test_deg_p1(self, n, charts):
-        assert reduction.deg_p1(n, charts) == pytest.approx(n, abs=1e-6)
+    def test_deg_p1(self, n, disk):
+        assert reduction.deg_p1(n, disk) == pytest.approx(n, abs=1e-6)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -54,13 +61,13 @@ class TestLineBundles:
             assert transition_defect(n, RING) < 1e-12
             assert transition_defect(n, 0.9 * RING) < 1e-12
 
-    def test_fs_contraction_constant(self, charts):
-        val = reduction.fs_contraction_constant(2, charts)
+    def test_fs_contraction_constant(self, disk):
+        val = reduction.fs_contraction_constant(2, disk)
         assert abs(val + 4j * np.pi) < 1e-8
 
-    def test_fs_contraction_trivial_and_dual(self, charts):
-        assert abs(reduction.fs_contraction_constant(0, charts)) < 1e-12
-        assert abs(reduction.fs_contraction_constant(-2, charts) - 4j * np.pi) < 1e-8
+    def test_fs_contraction_trivial_and_dual(self, disk):
+        assert abs(reduction.fs_contraction_constant(0, disk)) < 1e-12
+        assert abs(reduction.fs_contraction_constant(-2, disk) - 4j * np.pi) < 1e-8
 
 
 class TestInvariantForms:
@@ -68,12 +75,11 @@ class TestInvariantForms:
         for z in (RING, 0.8 * RING):
             assert max(form_pullback_defects(z)) < 1e-10
 
-    def test_invariant_norms_constant(self, charts):
+    def test_invariant_norms_constant(self, disk):
         # SU(2)-invariant forms have constant norm, 2 pi for alpha in O(-2) and beta in O(2)
-        for c in charts:
-            for coeff, n in ((reduction.alpha_coeff, -2), (reduction.beta_coeff, 2)):
-                norm = invariant_norm_sq(coeff(c.chart_id, c.points), n, c.points)
-                assert np.abs(norm - 2 * np.pi).max() < 1e-10
+        for coeff, n in ((reduction.alpha_coeff, -2), (reduction.beta_coeff, 2)):
+            norm = invariant_norm_sq(coeff(disk.points), n, disk.points)
+            assert np.abs(norm - 2 * np.pi).max() < 1e-10
 
     def test_calibration_constants(self):
         forms = reduction.calibrate_alpha_beta(2.0)
@@ -94,7 +100,7 @@ class TestAssemblyAndHE:
             geo.zero_field(g, 1, 1, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
-        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=10)
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, samples(q, 10))
         assert asm.points.shape == (10,) and asm.ij.shape == (10, 2)
         for blocks in (asm.dbar_off, asm.theta_off, asm.metric):
             assert blocks.shape == (10, 2, 2)
@@ -104,13 +110,11 @@ class TestAssemblyAndHE:
         assert np.abs(asm.metric[:, 1, 0]).max() == 0.0
 
     def test_empty_sample_rejected(self):
+        # both product checks read the one sample set, so an empty draw stops them both
         g = geo.TorusGrid(8)
-        q = psi_entry(g)
         for n_points in (0, -5):
             with pytest.raises(DomainError):
-                reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=n_points)
-            with pytest.raises(DomainError):
-                reduction.integrability_residual(q, 2.0, n_points=n_points)
+                reduction.random_product_points(g, n_points, np.random.default_rng(0))
 
     def test_flat_mismatched_constants_residual_is_lambda(self):
         # all-zero fields, d = 0, flat h solve only tau = 0; assembling with
@@ -122,7 +126,7 @@ class TestAssemblyAndHE:
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
-        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=20)
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, samples(q, 20))
         he = reduction.he_residual_product(asm, c)
         assert he.sup_diagonal == pytest.approx(2 * np.pi, rel=1e-9)
 
@@ -132,7 +136,7 @@ class TestAssemblyAndHE:
         assert c.sigma == Fraction(2) and c.tau_prime == Fraction(-1)
         h = unit_metrics(q)
         assert vortex.residual(q, h, c).sup() < 1e-12
-        asm = reduction.assemble_F(q, h, 2.0, n_points=40)
+        asm = reduction.assemble_F(q, h, 2.0, samples(q, 40))
         he = reduction.he_residual_product(asm, c)
         assert he.sup_diagonal < 1e-9
         assert he.sup_offdiagonal < 1e-8
@@ -153,7 +157,7 @@ class TestAssemblyAndHE:
         # flat solution by |pi|
         q, c = self._flat_shifted()
         monkeypatch.setattr(reduction, "lambda_weights", lambda sigma: (2.0 / sigma, 1.0 / sigma))
-        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=20)
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, samples(q, 20))
         he = reduction.he_residual_product(asm, c)
         assert he.sup_diagonal > 1.0
 
@@ -163,11 +167,8 @@ class TestAssemblyAndHE:
         g = geo.TorusGrid(8)
         q = psi_entry(g)
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
-        monkeypatch.setattr(
-            reduction, "alpha_coeff",
-            lambda chart_id, zeta: (1.0 if chart_id == "z" else -1.0) / (1.0 + np.abs(zeta) ** 2),
-        )
-        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, n_points=40)
+        monkeypatch.setattr(reduction, "alpha_coeff", lambda zeta: 1.0 / (1.0 + np.abs(zeta) ** 2))
+        asm = reduction.assemble_F(q, unit_metrics(q), 2.0, samples(q, 40))
         he = reduction.he_residual_product(asm, c)
         assert he.sup_offdiagonal > 1e-8
 
@@ -198,7 +199,7 @@ class TestAssemblyAndHE:
             geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(s2)),
         )
         c = vortex.constants_from_sigma(sigma, r1, r2, 0, 0)
-        asm = reduction.assemble_F(q, h, float(sigma), n_points=100, rng=rng, validate=False)
+        asm = reduction.assemble_F(q, h, float(sigma), reduction.random_product_points(g, 100, rng))
         blocks = reduction.product_residual_blocks(asm, c.lambda_he)
         res = vortex.residual(q, h, c)
         i, j = asm.ij.T
@@ -214,7 +215,7 @@ class TestAssemblyAndHE:
         g = geo.TorusGrid(8)
         q = psi_entry(g)
         with pytest.raises(DomainError):
-            reduction.assemble_F(q, unit_metrics(q), 0.0, n_points=4)
+            reduction.assemble_F(q, unit_metrics(q), 0.0, samples(q, 4))
         with pytest.raises(DomainError):
             reduction.calibrate_alpha_beta(-1.0)
 
@@ -223,14 +224,17 @@ class TestAssemblyAndHE:
         q = psi_entry(g)
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
         h, rep = vortex.solve(q, c, vortex.SolveOptions(target_residual=1e-9))
-        asm = reduction.assemble_F(q, h, 2.0, n_points=20)
+        asm = reduction.assemble_F(q, h, 2.0, samples(q, 20))
         delta = 1e-3
-        he = reduction.he_residual_product(asm, c, lam=c.lambda_he + delta)
-        assert he.sup_diagonal == pytest.approx(delta, rel=1e-3)
+        blocks = reduction.product_residual_blocks(asm, c.lambda_he + delta)
+        assert geo.sup_norm(blocks) == pytest.approx(delta, rel=1e-3)
 
-    def test_volume_and_lambda_consistency(self, charts):
+    def test_volume_and_lambda_consistency(self, disk):
+        # Vol(X x P^1, Omega_sigma) by quadrature (X has unit area) reproduces the closed-form lambda
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
-        vol = reduction.volume_product(2.0, charts)
+        ones = lambda z: np.ones(z.shape)
+        wx, wp = reduction.lambda_weights(2.0)
+        vol = fs_integrate(disk, ones, ones).real / (wx * wp)
         assert vol == pytest.approx(1.0, abs=1e-9)  # sigma/2 with unit masses
         lam = -2j * np.pi / vol * (0 + 0 + 2.0 * 1) / 2
         assert lam == pytest.approx(c.lambda_he, rel=1e-9)
@@ -246,20 +250,20 @@ class TestIntegrability:
     def test_valid_quadruplet_integrable(self):
         g = geo.TorusGrid(16)
         q = self._entry(g, geo.zero_field(g, 1, 1), geo.constant_field(g, [[1.0]]))
-        rep = reduction.integrability_residual(q, 2.0)
+        rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.total < 1e-12
 
     def test_broken_composition_detected(self):
         g = geo.TorusGrid(16)
         q = self._entry(g, geo.constant_field(g, [[1.0]]), geo.constant_field(g, [[1.0]]))
-        rep = reduction.integrability_residual(q, 2.0)
+        rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.total >= 1e-2
         assert rep.phi_psi >= 1e-2 and rep.psi_phi >= 1e-2
 
     def test_broken_holomorphy_detected(self):
         g = geo.TorusGrid(16)
         q = self._entry(g, geo.zero_field(g, 1, 1), geo.mode_field(g, 1, 0))
-        rep = reduction.integrability_residual(q, 2.0)
+        rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.psi_block > 1e-2
 
     def test_broken_intertwining_detected(self):
@@ -271,7 +275,7 @@ class TestIntegrability:
             geo.zero_field(g, 1, 1),
             geo.constant_field(g, [[1.0]]),  # theta1 psi != psi theta2
         )
-        rep = reduction.integrability_residual(q, 2.0)
+        rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.psi_block > 1e-2
 
     def test_matches_pointwise_loop(self):
@@ -284,17 +288,16 @@ class TestIntegrability:
             geo.mode_field(g, 0, 1, 0.5),
             geo.mode_field(g, 1, 0),
         )
-        rep = reduction.integrability_residual(q, 3.0, n_points=30, rng=np.random.default_rng(4))
+        points = samples(q, 30, seed=4)
+        rep = reduction.integrability_residual(q, 3.0, points)
         forms = reduction.calibrate_alpha_beta(3.0)
-        ij, in_w, zeta = reduction.random_product_points(g, 30, np.random.default_rng(4))
         psi, phi = q.psi.values, q.phi.values
         t1, t2 = q.theta1.values, q.theta2.values
         dbar_psi, dbar_phi = geo.dbar(q.psi).values, geo.dbar(q.phi).values
         sups = dict(psi_block=0.0, phi_block=0.0, phi_psi=0.0, psi_phi=0.0)
-        for (i, j), w, z in zip(ij, in_w, zeta):
-            chart = "w" if w else "z"
-            a = abs(forms.c_alpha * reduction.alpha_coeff(chart, z))
-            b = abs(forms.c_beta * reduction.beta_coeff(chart, z))
+        for (i, j), z in zip(*points):
+            a = abs(forms.c_alpha * reduction.alpha_coeff(z))
+            b = abs(forms.c_beta * reduction.beta_coeff(z))
             for key, value in (
                 ("psi_block", a * geo.sup_norm(dbar_psi[i, j])),
                 ("psi_block", a * geo.sup_norm(t1[i, j] @ psi[i, j] - psi[i, j] @ t2[i, j])),
@@ -314,7 +317,7 @@ class TestIntegrability:
             g, geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
             theta1=geo.mode_field(g, 1, 0, form_type=geo.FORM_10),
         )
-        rep = reduction.integrability_residual(q, 2.0)
+        rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.theta1 == pytest.approx(np.pi, rel=1e-10)
 
 

@@ -53,6 +53,15 @@ class TestConstants:
             assert back.sigma == sigma
             assert back.tau_prime == c.tau_prime
 
+    def test_float_constants_rejected(self):
+        # the constants are exact; a float tau or sigma would make them inexact without notice
+        with pytest.raises(TypeError):
+            vortex.constants_from_tau(0.5, 1, 1, 0, 0)
+        with pytest.raises(TypeError):
+            vortex.constants_from_sigma(2.0, 1, 1, 0, 0)
+        with pytest.raises(TypeError):
+            vortex.constants_from_sigma(np.float64(2.0), 1, 1, 0, 0)
+
     def test_rank_validation(self):
         with pytest.raises(Exception):
             vortex.constants_from_tau(1, 0, 1, 0, 0)
