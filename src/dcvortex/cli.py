@@ -83,6 +83,12 @@ def cmd_stability(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
     c = cfg.constants()
     if cfg.catalog_path:
         catalog = stability.catalog_from_text(Path(cfg.catalog_path).read_text())
+        ambient = stability.QuadInvariants(q.r1, q.r2, q.d1, q.d2)
+        if catalog.ambient != ambient:
+            raise ConstraintError(
+                f"catalog ambient {tuple(catalog.ambient)} is not the configured quadruplet's "
+                f"(r1, r2, d1, d2) = {tuple(ambient)}"
+            )
     else:
         catalog = stability.coordinate_subquadruplets(q)
     for r1, r2, d1, d2 in cfg.user_subobjects:
@@ -180,8 +186,8 @@ def cmd_verify_hk(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
     mu_g = hyperkahler.moment_mu_I(gx)
     adj = geo.adjoint_values
     equin = max(
-        geo.sup_norm(mu_g[0].values - g1 @ mu[0].values @ adj(g1)),
-        geo.sup_norm(mu_g[1].values - g2 @ mu[1].values @ adj(g2)),
+        geo.sup_norm(mu_g[0] - g1 @ mu[0] @ adj(g1)),
+        geo.sup_norm(mu_g[1] - g2 @ mu[1] @ adj(g2)),
     )
     report = Report(
         command="verify-hk",
@@ -239,9 +245,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     # deg-p1's --tol is its only check tolerance, not an override; a negative one forces a FAIL
-    if args.command != "deg-p1" and args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
-        print(f"usage error: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.command != "deg-p1":
+        if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+            print(f"usage error: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.seed is not None and args.seed < 0:
+            print(f"usage error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         if args.command == "deg-p1":
             report = cmd_deg_p1(args.n, args.tol)

@@ -63,13 +63,8 @@ class RunConfig:
         grid = self.grid()
         r1, r2 = len(self.block_degrees1), len(self.block_degrees2)
         fields = {
-            key: build_field(grid, key, self.field_specs.get(key, "zero"), ro, ri, form_type)
-            for key, ro, ri, form_type in (
-                ("theta1", r1, r1, geo.FORM_10),
-                ("theta2", r2, r2, geo.FORM_10),
-                ("phi", r2, r1, geo.FUNCTION),
-                ("psi", r1, r2, geo.FUNCTION),
-            )
+            key: build_field(grid, key, self.field_specs.get(key, "zero"), ro, ri)
+            for key, ro, ri in (("theta1", r1, r1), ("theta2", r2, r2), ("phi", r2, r1), ("psi", r1, r2))
         }
         q = QuadrupletSpec(grid, self.block_degrees1, self.block_degrees2, **fields, tol=self.constraint_tol)
         return q.validate()
@@ -97,18 +92,18 @@ def _parse_complex(token: str, where: str) -> complex:
     return value
 
 
-def build_field(grid: TorusGrid, key: str, spec: str, ro: int, ri: int, form_type: str):
+def build_field(grid: TorusGrid, key: str, spec: str, ro: int, ri: int):
     parts = spec.split()
     kind = parts[0] if parts else "zero"
     where = f"[fields] {key} = {spec!r}"
     if kind == "zero":
-        return geo.zero_field(grid, ro, ri, form_type)
+        return geo.zero_field(grid, ro, ri)
     if kind == "constant":
         if len(parts) != 2:
             raise ConfigError(f"{where}: constant needs one value")
         c = _parse_complex(parts[1], where)
         m = c * (np.eye(ro, ri) if ro == ri else np.ones((ro, ri)))
-        return geo.constant_field(grid, m, form_type)
+        return geo.constant_field(grid, m)
     if kind == "matrix":
         try:
             rows = json.loads(" ".join(parts[1:]))
@@ -117,14 +112,14 @@ def build_field(grid: TorusGrid, key: str, spec: str, ro: int, ri: int, form_typ
             raise ConfigError(f"{where}: bad matrix literal") from exc
         if m.shape != (ro, ri):
             raise ConfigError(f"{where}: matrix must be {ro}x{ri}, got {m.shape}")
-        return geo.constant_field(grid, m, form_type)
+        return geo.constant_field(grid, m)
     if kind == "mode":
         if len(parts) != 4:
             raise ConfigError(f"{where}: mode needs p q amplitude")
         p, q = (_parse_number(t, int, where) for t in parts[1:3])
         amp = _parse_complex(parts[3], where)
         m = amp * (np.eye(ro, ri) if ro == ri else np.ones((ro, ri)))
-        return geo.mode_field(grid, p, q, m, form_type)
+        return geo.mode_field(grid, p, q, m)
     raise ConfigError(f"{where}: unknown field kind {kind!r}")
 
 

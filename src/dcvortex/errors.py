@@ -1,10 +1,6 @@
 """Shared exception types."""
 
 
-class FormTypeError(ValueError):
-    """Operation applied to a field of the wrong form type."""
-
-
 class ShapeError(ValueError):
     """Incompatible matrix-field shapes."""
 

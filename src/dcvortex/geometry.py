@@ -5,8 +5,13 @@ Conventions fixed here once for the whole package:
 * X = C/(Z+iZ) is sampled on an n-by-n periodic grid with z = x + iy and
   the Kahler form omega = (i/2) dz^dzbar, so that the area of X is
   exactly 1 and Lambda(omega) = 1.
+* A field is a plain complex array of shape (n, n, r_out, r_in): a
+  matrix at every grid point.  The slot that holds it fixes its form type;
+  a (1,0)-form u dz is stored as u, a (0,1)-form v dzbar as v.
 * A (1,1)-form stores its single coefficient g relative to dz^dzbar;
   hence Lambda(g dz^dzbar) = -2i g and its integral is -2i <g>.
+* `del_` and `dbar` are the spectral d/dz and d/dzbar.  On forms,
+  dbar(u dz) = -(d_zbar u) dz^dzbar and del(v dzbar) = (d_z v) dz^dzbar.
 * P^1 is covered by two closed unit disks C_z and C_w glued along
   |z| = 1 by w = 1/z.  The Fubini-Study form has z-chart density
   (1/pi)(1+|z|^2)^-2 per unit area, total mass 1, half per chart.
@@ -16,19 +21,10 @@ Conventions fixed here once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import FormTypeError, ShapeError
-
-FUNCTION = "function"
-FORM_10 = "(1,0)"
-FORM_01 = "(0,1)"
-FORM_11 = "(1,1)"
-
-FORM_TYPES = (FUNCTION, FORM_10, FORM_01, FORM_11)
 
 # omega = OMEGA_COEFF * dz^dzbar
 OMEGA_COEFF = 0.5j
@@ -60,88 +56,25 @@ def _wavenumbers(n: int):
     return k
 
 
-@dataclass
-class FieldOnTorus:
-    """Complex matrix valued field on the grid, tagged with its form type.
-
-    values has shape (n, n, rank_out, rank_in); for forms the array holds
-    the coefficient relative to dz, dzbar or dz^dzbar.
-    """
-
-    grid: TorusGrid
-    form_type: str
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.form_type not in FORM_TYPES:
-            raise FormTypeError(f"unknown form type {self.form_type!r}")
-        v = np.asarray(self.values, dtype=np.complex128)
-        n = self.grid.n
-        if v.ndim != 4 or v.shape[0] != n or v.shape[1] != n:
-            raise ShapeError(f"values must have shape ({n},{n},ro,ri), got {v.shape}")
-        self.values = v
-
-    @property
-    def rank_out(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def rank_in(self) -> int:
-        return self.values.shape[3]
-
-    def __add__(self, other: "FieldOnTorus") -> "FieldOnTorus":
-        _check_same_type(self, other)
-        return FieldOnTorus(self.grid, self.form_type, self.values + other.values)
-
-    def __sub__(self, other: "FieldOnTorus") -> "FieldOnTorus":
-        _check_same_type(self, other)
-        return FieldOnTorus(self.grid, self.form_type, self.values - other.values)
-
-    def __mul__(self, scalar) -> "FieldOnTorus":
-        return FieldOnTorus(self.grid, self.form_type, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldOnTorus":
-        return FieldOnTorus(self.grid, self.form_type, -self.values)
-
-    def trace(self) -> "FieldOnTorus":
-        if self.rank_out != self.rank_in:
-            raise ShapeError("trace needs a square matrix field")
-        tr = np.einsum("xykk->xy", self.values)[..., None, None]
-        return FieldOnTorus(self.grid, self.form_type, tr)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def _check_same_type(a: FieldOnTorus, b: FieldOnTorus):
-    if a.form_type != b.form_type:
-        raise FormTypeError(f"form types differ: {a.form_type} vs {b.form_type}")
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"shapes differ: {a.values.shape} vs {b.values.shape}")
-
-
-def constant_field(grid: TorusGrid, matrix, form_type: str = FUNCTION) -> FieldOnTorus:
+def constant_field(grid: TorusGrid, matrix) -> np.ndarray:
     m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
-    values = np.broadcast_to(m, (grid.n, grid.n) + m.shape).copy()
-    return FieldOnTorus(grid, form_type, values)
+    return np.broadcast_to(m, (grid.n, grid.n) + m.shape).copy()
 
 
-def identity_field(grid: TorusGrid, rank: int, form_type: str = FUNCTION) -> FieldOnTorus:
-    return constant_field(grid, np.eye(rank), form_type)
+def identity_field(grid: TorusGrid, rank: int) -> np.ndarray:
+    return constant_field(grid, np.eye(rank))
 
 
-def zero_field(grid: TorusGrid, rank_out: int, rank_in: int, form_type: str = FUNCTION) -> FieldOnTorus:
-    return FieldOnTorus(grid, form_type, np.zeros((grid.n, grid.n, rank_out, rank_in), dtype=np.complex128))
+def zero_field(grid: TorusGrid, rank_out: int, rank_in: int) -> np.ndarray:
+    return np.zeros((grid.n, grid.n, rank_out, rank_in), dtype=np.complex128)
 
 
-def mode_field(grid: TorusGrid, p: int, q: int, matrix=1.0, form_type: str = FUNCTION) -> FieldOnTorus:
+def mode_field(grid: TorusGrid, p: int, q: int, matrix=1.0) -> np.ndarray:
     """matrix * exp(2 pi i (p x + q y)) sampled on the grid."""
     x, y = grid.coordinates()
     phase = np.exp(2.0j * np.pi * (p * x + q * y))
     m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
-    return FieldOnTorus(grid, form_type, phase[..., None, None] * m)
+    return phase[..., None, None] * m
 
 
 # -- spectral derivatives ---------------------------------------------------
@@ -155,85 +88,23 @@ def _axis_derivative(values: np.ndarray, n: int, axis: int) -> np.ndarray:
     return np.fft.ifft(hat, axis=axis)
 
 
-def _d_z(values: np.ndarray) -> np.ndarray:
+def del_(values: np.ndarray) -> np.ndarray:
+    """d/dz = (d_x - i d_y)/2 of a field."""
     n = values.shape[0]
     dx = _axis_derivative(values, n, 0)
     dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx - 1j * dy)
 
 
-def _d_zbar(values: np.ndarray) -> np.ndarray:
+def dbar(values: np.ndarray) -> np.ndarray:
+    """d/dzbar = (d_x + i d_y)/2 of a field."""
     n = values.shape[0]
     dx = _axis_derivative(values, n, 0)
     dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx + 1j * dy)
 
 
-def dbar(f: FieldOnTorus) -> FieldOnTorus:
-    """dbar on functions and (1,0)-forms.
-
-    On a function returns the dzbar coefficient; on u dz returns the
-    dz^dzbar coefficient of dbar(u dz) = -(d_zbar u) dz^dzbar.
-    """
-    if f.form_type == FUNCTION:
-        return FieldOnTorus(f.grid, FORM_01, _d_zbar(f.values))
-    if f.form_type == FORM_10:
-        return FieldOnTorus(f.grid, FORM_11, -_d_zbar(f.values))
-    raise FormTypeError(f"dbar undefined on {f.form_type} fields")
-
-
-def del_(f: FieldOnTorus) -> FieldOnTorus:
-    """del on functions and (0,1)-forms; del(v dzbar) = (d_z v) dz^dzbar."""
-    if f.form_type == FUNCTION:
-        return FieldOnTorus(f.grid, FORM_10, _d_z(f.values))
-    if f.form_type == FORM_01:
-        return FieldOnTorus(f.grid, FORM_11, _d_z(f.values))
-    raise FormTypeError(f"del undefined on {f.form_type} fields")
-
-
-def integrate(f: FieldOnTorus) -> np.ndarray:
-    """Entrywise integral against the volume form (functions) or of the 2-form."""
-    mean = f.values.mean(axis=(0, 1))
-    if f.form_type == FUNCTION:
-        return mean
-    if f.form_type == FORM_11:
-        # integral of g dz^dzbar = -2i * mean(g) on the unit-area torus
-        return -2j * mean
-    raise FormTypeError("integrate acts on functions and (1,1)-forms")
-
-
-def lambda_contract(f: FieldOnTorus) -> FieldOnTorus:
-    """Contraction with omega, normalized so Lambda(omega) = 1."""
-    if f.form_type != FORM_11:
-        raise FormTypeError("lambda_contract needs a (1,1)-form")
-    return FieldOnTorus(f.grid, FUNCTION, -2j * f.values)
-
-
 # -- pointwise matrix algebra -----------------------------------------------
-
-_WEDGE_SIGN = {
-    (FUNCTION, FUNCTION): (FUNCTION, 1.0),
-    (FUNCTION, FORM_10): (FORM_10, 1.0),
-    (FUNCTION, FORM_01): (FORM_01, 1.0),
-    (FUNCTION, FORM_11): (FORM_11, 1.0),
-    (FORM_10, FUNCTION): (FORM_10, 1.0),
-    (FORM_01, FUNCTION): (FORM_01, 1.0),
-    (FORM_11, FUNCTION): (FORM_11, 1.0),
-    (FORM_10, FORM_01): (FORM_11, 1.0),   # dz ^ dzbar
-    (FORM_01, FORM_10): (FORM_11, -1.0),  # dzbar ^ dz = -dz ^ dzbar
-}
-
-
-def wedge(a: FieldOnTorus, b: FieldOnTorus) -> FieldOnTorus:
-    """Pointwise matrix product with form bookkeeping (dzbar^dz = -dz^dzbar)."""
-    key = (a.form_type, b.form_type)
-    if key not in _WEDGE_SIGN:
-        raise FormTypeError(f"wedge of {a.form_type} with {b.form_type} vanishes or is unsupported")
-    if a.rank_in != b.rank_out:
-        raise ShapeError(f"cannot compose {a.values.shape} with {b.values.shape}")
-    out_type, sign = _WEDGE_SIGN[key]
-    return FieldOnTorus(a.grid, out_type, sign * (a.values @ b.values))
-
 
 def adjoint_values(v: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(v, -1, -2))

@@ -6,6 +6,12 @@ every dynamical field (metric perturbations, Higgs fields, the coupling
 morphisms) is an honest periodic matrix field.  Matrix entries may only
 connect summands of equal degree; on that subalgebra all covariant
 derivatives reduce to the plain spectral dbar / del of `geometry`.
+
+Fields are complex (n, n, r_out, r_in) arrays; the slot name fixes the
+form type (theta_i are (1,0)-form coefficients, phi and psi functions,
+curvature and brackets dz^dzbar coefficients).  The vortex residual is
+built only from the named layers `chern_curvature`, `higgs_adjoint`,
+`bracket_theta` and `coupling_terms`, composed by `residual_terms`.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConstraintError, DomainError, ShapeError
-from .geometry import FieldOnTorus, TorusGrid
+from .geometry import TorusGrid
 
 DEFAULT_CONSTRAINT_TOL = 1e-9
 
@@ -30,8 +36,6 @@ def degree_mask(degrees_out: Sequence[int], degrees_in: Sequence[int]) -> np.nda
 
 
 def _check_mask(values: np.ndarray, mask: np.ndarray, what: str, tol: float):
-    if values.shape[-2:] != mask.shape:
-        raise ShapeError(f"{what}: shape {values.shape[-2:]} does not match mask {mask.shape}")
     off = np.abs(values[..., ~mask])
     if off.size and off.max() > tol:
         raise ConstraintError(
@@ -44,17 +48,17 @@ class QuadrupletSpec:
     """Concrete Higgs quadruplet: two bundles, two Higgs fields, two couplings.
 
     block_degrees fix the line-bundle summands (rank = length, degree = sum);
-    theta_i are (1,0)-form endomorphism fields, phi: E1 -> E2 and
-    psi: E2 -> E1 are function fields.
+    theta_i are the dz coefficients of the Higgs fields, phi: E1 -> E2
+    and psi: E2 -> E1 are functions; all four are (n, n, r_out, r_in) arrays.
     """
 
     grid: TorusGrid
     block_degrees1: tuple[int, ...]
     block_degrees2: tuple[int, ...]
-    theta1: FieldOnTorus
-    theta2: FieldOnTorus
-    phi: FieldOnTorus
-    psi: FieldOnTorus
+    theta1: np.ndarray
+    theta2: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
     tol: float = DEFAULT_CONSTRAINT_TOL
 
     @property
@@ -82,26 +86,24 @@ class QuadrupletSpec:
 
     def validate(self):
         """Check shapes, finiteness, block support, phi psi = psi phi = 0 and holomorphy."""
-        r1, r2 = self.r1, self.r2
-        for f, ro, ri, ft, what in (
-            (self.theta1, r1, r1, geo.FORM_10, "theta1"),
-            (self.theta2, r2, r2, geo.FORM_10, "theta2"),
-            (self.phi, r2, r1, geo.FUNCTION, "phi"),
-            (self.psi, r1, r2, geo.FUNCTION, "psi"),
+        n, r1, r2 = self.grid.n, self.r1, self.r2
+        for f, ro, ri, what in (
+            (self.theta1, r1, r1, "theta1"),
+            (self.theta2, r2, r2, "theta2"),
+            (self.phi, r2, r1, "phi"),
+            (self.psi, r1, r2, "psi"),
         ):
-            if f.form_type != ft:
-                raise ConstraintError(f"{what} must be a {ft} field")
-            if (f.rank_out, f.rank_in) != (ro, ri):
-                raise ShapeError(f"{what} must be {ro}x{ri}, got {f.rank_out}x{f.rank_in}")
-            if not np.isfinite(f.values).all():
+            if f.shape != (n, n, ro, ri):
+                raise ShapeError(f"{what} must have shape {(n, n, ro, ri)}, got {f.shape}")
+            if not np.isfinite(f).all():
                 raise ConstraintError(f"{what} has non-finite values")
         m1, m2, mphi, mpsi = self.masks()
-        _check_mask(self.theta1.values, m1, "theta1", self.tol)
-        _check_mask(self.theta2.values, m2, "theta2", self.tol)
-        _check_mask(self.phi.values, mphi, "phi", self.tol)
-        _check_mask(self.psi.values, mpsi, "psi", self.tol)
-        comp1 = geo.sup_norm(self.phi.values @ self.psi.values)
-        comp2 = geo.sup_norm(self.psi.values @ self.phi.values)
+        _check_mask(self.theta1, m1, "theta1", self.tol)
+        _check_mask(self.theta2, m2, "theta2", self.tol)
+        _check_mask(self.phi, mphi, "phi", self.tol)
+        _check_mask(self.psi, mpsi, "psi", self.tol)
+        comp1 = geo.sup_norm(self.phi @ self.psi)
+        comp2 = geo.sup_norm(self.psi @ self.phi)
         if max(comp1, comp2) > self.tol:
             raise ConstraintError(
                 f"phi o psi / psi o phi must vanish (sup {max(comp1, comp2):.3e})"
@@ -117,12 +119,12 @@ class QuadrupletSpec:
 class MetricPair:
     """Positive Hermitian metric matrices h_i = exp(s_i) over the Id background."""
 
-    h1: FieldOnTorus
-    h2: FieldOnTorus
+    h1: np.ndarray
+    h2: np.ndarray
 
     def validate(self):
-        _check_metric(self.h1.values, "h1")
-        _check_metric(self.h2.values, "h2")
+        _check_metric(self.h1, "h1")
+        _check_metric(self.h2, "h2")
         return self
 
 
@@ -145,51 +147,39 @@ def expm_hermitian(values: np.ndarray) -> np.ndarray:
 
 
 def metric_inverse(values: np.ndarray) -> np.ndarray:
-    """Pointwise inverse of a metric field's values."""
+    """Pointwise inverse of a metric field."""
     if values.shape[-1] == 1:
         return 1.0 / values
     return np.linalg.inv(values)
 
 
-def _curvature_values(h: np.ndarray, hinv: np.ndarray, background_degrees: Sequence[int]) -> np.ndarray:
-    # dz^dzbar coefficient of F_bg + dbar(h^-1 del h); the background curvature
-    # -2 pi i d omega has the constant coefficient diag(pi d), and
-    # dbar(u dz) = -(d_zbar u) dz^dzbar
-    background = np.pi * np.diag(np.asarray(background_degrees, dtype=float))
-    return background - geo._d_zbar(hinv @ geo._d_z(h))
+def chern_curvature(h: np.ndarray, hinv: np.ndarray, background_degrees: Sequence[int]) -> np.ndarray:
+    """dz^dzbar coefficient of F_h = F_bg + dbar(h^-1 del h) in the background trivialization.
 
-
-def chern_curvature(h: FieldOnTorus, background_degrees: Sequence[int]) -> FieldOnTorus:
-    """Curvature F_h = F_bg + dbar(h^-1 del h) in the background trivialization.
-
+    The background curvature -2 pi i d omega has the constant coefficient
+    diag(pi d), and dbar(u dz) = -(d_zbar u) dz^dzbar.  hinv is h^-1.
     Satisfies (i/2pi) integral tr Lambda(F_h) vol = sum(background_degrees).
     """
-    _check_metric(h.values)
-    coeff = _curvature_values(h.values, metric_inverse(h.values), background_degrees)
-    return FieldOnTorus(h.grid, geo.FORM_11, coeff)
+    background = np.pi * np.diag(np.asarray(background_degrees, dtype=float))
+    return background - geo.dbar(hinv @ geo.del_(h))
 
 
-def higgs_adjoint(theta: FieldOnTorus, h: FieldOnTorus) -> FieldOnTorus:
-    """Formal adjoint theta^dagger_h = (h^-1 T^dagger h) dzbar for theta = T dz."""
-    if theta.form_type != geo.FORM_10:
-        raise geo.FormTypeError("higgs_adjoint expects a (1,0)-form")
-    if theta.rank_out != h.rank_out:
-        raise ShapeError("theta and h ranks differ")
-    return FieldOnTorus(theta.grid, geo.FORM_01, _adjoint(theta.values, metric_inverse(h.values), h.values))
+def higgs_adjoint(f: np.ndarray, hinv_from: np.ndarray, h_to: np.ndarray) -> np.ndarray:
+    """h_from^-1 f^dagger h_to: the adjoint of f for the metrics at either end.
 
-
-def bracket_theta(theta: FieldOnTorus, theta_dag: FieldOnTorus) -> FieldOnTorus:
-    """[theta, theta^dagger] = theta^theta^dagger + theta^dagger^theta, a (1,1)-form.
-
-    With coefficients T dz and S dzbar this is the matrix commutator
-    (TS - ST) dz^dzbar; in particular it is trace free pointwise.
+    For a Higgs field theta = T dz with metric h this is the dzbar
+    coefficient h^-1 T^dagger h of theta^dagger_h.
     """
-    return geo.wedge(theta, theta_dag) + geo.wedge(theta_dag, theta)
-
-
-def _adjoint(f: np.ndarray, hinv_from: np.ndarray, h_to: np.ndarray) -> np.ndarray:
-    # h_from^-1 f^dagger h_to: the adjoint of f for the metrics at either end
     return hinv_from @ geo.adjoint_values(f) @ h_to
+
+
+def bracket_theta(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[theta, theta^dagger] = theta^theta^dagger + theta^dagger^theta for theta = T dz, theta^dagger = S dzbar.
+
+    The dz^dzbar coefficient is the matrix commutator T S - S T; in
+    particular it is trace free pointwise.
+    """
+    return t @ s - s @ t
 
 
 class HolomorphyResiduals(NamedTuple):
@@ -210,27 +200,27 @@ def holomorphy_residuals(q: QuadrupletSpec) -> HolomorphyResiduals:
     r_t1 = _dbar_defect(q.theta1)
     r_t2 = _dbar_defect(q.theta2)
     dbar_phi = _dbar_defect(q.phi)
-    twist_phi = geo.sup_norm(q.theta2.values @ q.phi.values - q.phi.values @ q.theta1.values)
+    twist_phi = geo.sup_norm(q.theta2 @ q.phi - q.phi @ q.theta1)
     dbar_psi = _dbar_defect(q.psi)
-    twist_psi = geo.sup_norm(q.theta1.values @ q.psi.values - q.psi.values @ q.theta2.values)
+    twist_psi = geo.sup_norm(q.theta1 @ q.psi - q.psi @ q.theta2)
     return HolomorphyResiduals(r_t1, r_t2, max(dbar_phi, twist_phi), max(dbar_psi, twist_psi))
 
 
-def _dbar_defect(f: FieldOnTorus) -> float:
+def _dbar_defect(f: np.ndarray) -> float:
     """sup |dbar f|, or the size of dbar on f's Nyquist modes if that is larger.
 
     The spectral derivatives zero the Nyquist wavenumber pi n, so a grid-scale
     oscillation such as (-1)^i has dbar = 0 on the grid; in the continuum a
     Nyquist mode of amplitude a has |d_zbar| = pi n a / 2.
     """
-    n = f.grid.n
-    hat = np.fft.fft2(f.values, axes=(0, 1)) / n**2
+    n = f.shape[0]
+    hat = np.fft.fft2(f, axes=(0, 1)) / n**2
     nyquist = max(np.abs(hat[n // 2]).max(), np.abs(hat[:, n // 2]).max())
-    return max(geo.dbar(f).sup_norm(), 0.5 * np.pi * n * float(nyquist))
+    return max(geo.sup_norm(geo.dbar(f)), 0.5 * np.pi * n * float(nyquist))
 
 
 def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray):
-    """The pieces of the vortex residual, as arrays, for metric arrays h1, h2.
+    """The pieces of the vortex residual for metric arrays h1, h2.
 
     Returns Lambda(F_{h_i} + [theta_i, theta_i^dagger]) for both bundles,
     then the four coupling endomorphisms of `coupling_terms`.  Each metric
@@ -240,23 +230,19 @@ def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray):
     inv1, inv2 = metric_inverse(h1), metric_inverse(h2)
     lam = []
     for theta, h, hinv, degrees in (
-        (q.theta1.values, h1, inv1, q.block_degrees1),
-        (q.theta2.values, h2, inv2, q.block_degrees2),
+        (q.theta1, h1, inv1, q.block_degrees1),
+        (q.theta2, h2, inv2, q.block_degrees2),
     ):
-        # [theta, theta^dagger] has dz^dzbar coefficient T S - S T for S = theta^dagger
-        s = _adjoint(theta, hinv, h)
-        lam.append(-2j * (_curvature_values(h, hinv, degrees) + (theta @ s - s @ theta)))
-    return (lam[0], lam[1]) + _couplings(q, h1, h2, inv1, inv2)
+        s = higgs_adjoint(theta, hinv, h)
+        lam.append(-2j * (chern_curvature(h, hinv, degrees) + bracket_theta(theta, s)))
+    return (lam[0], lam[1]) + coupling_terms(q, h1, h2, inv1, inv2)
 
 
-def coupling_terms(q: QuadrupletSpec, h: MetricPair):
-    """The four quadratic coupling endomorphisms (phi*phi, phi phi*, psi psi*, psi* psi)."""
-    h1, h2 = h.h1.values, h.h2.values
-    return _couplings(q, h1, h2, metric_inverse(h1), metric_inverse(h2))
+def coupling_terms(q: QuadrupletSpec, h1, h2, inv1, inv2):
+    """The four quadratic coupling endomorphisms (phi*phi, phi phi*, psi psi*, psi* psi).
 
-
-def _couplings(q: QuadrupletSpec, h1, h2, inv1, inv2):
-    phi, psi = q.phi.values, q.psi.values
-    phi_star = _adjoint(phi, inv1, h2)
-    psi_star = _adjoint(psi, inv2, h1)
-    return phi_star @ phi, phi @ phi_star, psi @ psi_star, psi_star @ psi
+    inv1, inv2 are the inverses of the metric arrays h1, h2.
+    """
+    phi_star = higgs_adjoint(q.phi, inv1, h2)
+    psi_star = higgs_adjoint(q.psi, inv2, h1)
+    return phi_star @ q.phi, q.phi @ phi_star, q.psi @ psi_star, psi_star @ q.psi

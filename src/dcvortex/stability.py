@@ -162,10 +162,10 @@ def coordinate_subquadruplets(q: QuadrupletSpec) -> SubobjectCatalog:
     constraint tolerance; the summands are the line-bundle factors, so
     blocks are single entries.
     """
-    t1 = _block_support(q.theta1.values, q.tol)
-    t2 = _block_support(q.theta2.values, q.tol)
-    sphi = _block_support(q.phi.values, q.tol)
-    spsi = _block_support(q.psi.values, q.tol)
+    t1 = _block_support(q.theta1, q.tol)
+    t2 = _block_support(q.theta2, q.tol)
+    sphi = _block_support(q.phi, q.tol)
+    spsi = _block_support(q.psi, q.tol)
     ambient = QuadInvariants(q.r1, q.r2, q.d1, q.d2)
     catalog = SubobjectCatalog(ambient)
 

@@ -30,7 +30,6 @@ import numpy as np
 from . import geometry as geo
 from . import higgs
 from .errors import DomainError, ShapeError
-from .geometry import FieldOnTorus
 from .higgs import MetricPair, QuadrupletSpec
 from .stability import _rational
 
@@ -96,46 +95,29 @@ def constants_from_sigma(sigma, r1: int, r2: int, d1: int, d2: int) -> VortexCon
     return constants_from_tau(tau, r1, r2, d1, d2)
 
 
-@dataclass
-class VortexResidual:
-    """Left-hand sides of the two equations, endomorphism-valued functions."""
-
-    R1: FieldOnTorus
-    R2: FieldOnTorus
-
-    def sup_norms(self) -> tuple[float, float]:
-        return self.R1.sup_norm(), self.R2.sup_norm()
-
-    def sup(self) -> float:
-        return max(self.sup_norms())
-
-
-def residual(q: QuadrupletSpec, h: MetricPair, c: VortexConstants, *, checked: bool = True) -> VortexResidual:
-    """R1, R2 at the metrics h.
+def residual(q: QuadrupletSpec, h: MetricPair, c: VortexConstants, *, checked: bool = True):
+    """(R1, R2) at the metrics h, endomorphism-valued functions as arrays.
 
     checked=False skips the Hermitian/positivity check of h; the solver
     passes it for its own iterates h = exp(herm s), positive by construction.
     """
     if checked:
         h.validate()
-    lam1, lam2, phis_phi, phi_phis, psi_psis, psis_psi = higgs.residual_terms(q, h.h1.values, h.h2.values)
+    lam1, lam2, phis_phi, phi_phis, psi_psis, psis_psi = higgs.residual_terms(q, h.h1, h.h2)
     tau = float(c.tau)
     tau_p = float(c.tau_prime)
     eye1 = np.eye(q.r1)
     eye2 = np.eye(q.r2)
     r1 = lam1 + 1j * phis_phi - 1j * psi_psis + TWO_PI * 1j * tau * eye1
     r2 = lam2 - 1j * phi_phis + 1j * psis_psi + TWO_PI * 1j * tau_p * eye2
-    return VortexResidual(
-        FieldOnTorus(q.grid, geo.FUNCTION, r1),
-        FieldOnTorus(q.grid, geo.FUNCTION, r2),
-    )
+    return r1, r2
 
 
 def trace_identity_check(q: QuadrupletSpec, h: MetricPair, c: VortexConstants) -> float:
     """|int tr(i R1) + int tr(i R2)|, an identity (zero) for any admissible input."""
-    res = residual(q, h, c)
-    t1 = geo.integrate(res.R1.trace())[0, 0]
-    t2 = geo.integrate(res.R2.trace())[0, 0]
+    r1, r2 = residual(q, h, c)
+    t1 = np.einsum("xykk->xy", r1).mean()
+    t2 = np.einsum("xykk->xy", r2).mean()
     return abs(1j * t1 + 1j * t2)
 
 
@@ -218,13 +200,10 @@ def solve(
         s1, s2 = _renormalize_trace(s1, s2, q.r1, q.r2)
 
     def metrics(a, b):
-        return MetricPair(
-            FieldOnTorus(q.grid, geo.FUNCTION, higgs.expm_hermitian(a)),
-            FieldOnTorus(q.grid, geo.FUNCTION, higgs.expm_hermitian(b)),
-        )
+        return MetricPair(higgs.expm_hermitian(a), higgs.expm_hermitian(b))
 
     res = residual(q, metrics(s1, s2), c, checked=False)
-    sup1, sup2 = res.sup_norms()
+    sup1, sup2 = map(geo.sup_norm, res)
     sup = max(sup1, sup2)
     history = [(0, sup1, sup2)]
     best = (sup, s1, s2, sup1, sup2)
@@ -238,8 +217,8 @@ def solve(
     it = 0
     while not converged and it < opts.max_iter:
         it += 1
-        step1 = eps * descent(res.R1.values)
-        step2 = eps * descent(res.R2.values)
+        step1 = eps * descent(res[0])
+        step2 = eps * descent(res[1])
         size = max(geo.sup_norm(step1), geo.sup_norm(step2))
         if size > MAX_UPDATE:
             # from a far start a full step can overshoot to where exp(s) ~ 0
@@ -247,7 +226,7 @@ def solve(
             step1, step2 = step1 * (MAX_UPDATE / size), step2 * (MAX_UPDATE / size)
         cand1, cand2 = _renormalize_trace(s1 - step1, s2 - step2, q.r1, q.r2)
         res_cand = residual(q, metrics(cand1, cand2), c, checked=False)
-        c1, c2 = res_cand.sup_norms()
+        c1, c2 = map(geo.sup_norm, res_cand)
         cand_sup = max(c1, c2)
 
         if cand_sup <= sup * (1.0 + 1e-12):

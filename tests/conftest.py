@@ -53,14 +53,7 @@ def unit_metrics(q: QuadrupletSpec) -> MetricPair:
 def random_metric_pair(q: QuadrupletSpec, rng, amplitude=0.25) -> MetricPair:
     s1 = random_hermitian_log(q.grid, q.block_degrees1, rng, amplitude)
     s2 = random_hermitian_log(q.grid, q.block_degrees2, rng, amplitude)
-    return MetricPair(
-        geo.FieldOnTorus(q.grid, geo.FUNCTION, higgs.expm_hermitian(s1)),
-        geo.FieldOnTorus(q.grid, geo.FUNCTION, higgs.expm_hermitian(s2)),
-    ).validate()
-
-
-def _const10(grid, matrix):
-    return geo.constant_field(grid, matrix, geo.FORM_10)
+    return MetricPair(higgs.expm_hermitian(s1), higgs.expm_hermitian(s2)).validate()
 
 
 def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
@@ -80,7 +73,7 @@ def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
         psi = [[coupling]] if use_psi else [[0.0]]
         return QuadrupletSpec(
             grid, (d,), (d,),
-            _const10(grid, [[t]]), _const10(grid, [[t]]),
+            geo.constant_field(grid, [[t]]), geo.constant_field(grid, [[t]]),
             geo.constant_field(grid, phi), geo.constant_field(grid, psi),
         ).validate()
     if kind == 1:
@@ -93,7 +86,7 @@ def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
         psi = np.array([[0, b], [0, 0]], dtype=complex)
         return QuadrupletSpec(
             grid, (d, d), (d, d),
-            _const10(grid, theta1), _const10(grid, theta2),
+            geo.constant_field(grid, theta1), geo.constant_field(grid, theta2),
             geo.constant_field(grid, phi), geo.constant_field(grid, psi),
         ).validate()
     d1 = tuple(int(v) for v in rng.integers(-2, 3, size=int(rng.integers(1, 3))))
@@ -102,7 +95,7 @@ def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
     t2 = np.diag(rng.standard_normal(len(d2)) + 1j * rng.standard_normal(len(d2)))
     return QuadrupletSpec(
         grid, d1, d2,
-        _const10(grid, t1), _const10(grid, t2),
+        geo.constant_field(grid, t1), geo.constant_field(grid, t2),
         geo.zero_field(grid, len(d2), len(d1)),
         geo.zero_field(grid, len(d1), len(d2)),
     ).validate()
@@ -118,8 +111,8 @@ def psi_entry(grid: TorusGrid) -> QuadrupletSpec:
     """The stable catalog entry: trivial line bundles, psi = 1."""
     return QuadrupletSpec(
         grid, (0,), (0,),
-        geo.zero_field(grid, 1, 1, geo.FORM_10),
-        geo.zero_field(grid, 1, 1, geo.FORM_10),
+        geo.zero_field(grid, 1, 1),
+        geo.zero_field(grid, 1, 1),
         geo.zero_field(grid, 1, 1),
         geo.constant_field(grid, [[1.0]]),
     ).validate()
@@ -129,8 +122,8 @@ def phi_entry(grid: TorusGrid) -> QuadrupletSpec:
     """The unstable catalog entry: trivial line bundles, phi = 1."""
     return QuadrupletSpec(
         grid, (0,), (0,),
-        geo.zero_field(grid, 1, 1, geo.FORM_10),
-        geo.zero_field(grid, 1, 1, geo.FORM_10),
+        geo.zero_field(grid, 1, 1),
+        geo.zero_field(grid, 1, 1),
         geo.constant_field(grid, [[1.0]]),
         geo.zero_field(grid, 1, 1),
     ).validate()

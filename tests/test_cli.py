@@ -99,6 +99,18 @@ class TestCommands:
         report = json.loads((tmp_path / "out" / "stability_report.json").read_text())
         assert report["stability"]["tau_verdict"]["verdict"] == "stable"
 
+    def test_stability_catalog_of_another_quadruplet_exit_1(self, tmp_path, capsys):
+        # a verdict over a catalog of some other ambient object says nothing about this one:
+        # with this file the phi entry would read "stable"
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("ambient 2 2 0 0\nentry 1 0 0 0\n")
+        text = SMALL_SOLVE.replace("psi = constant 1", "phi = constant 1") + f"\n[stability]\ncatalog = {catalog}\n"
+        cfg = write_config(tmp_path, text)
+        rc = cli.main(["stability", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "ambient" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_stability_command_with_user_subobjects(self, tmp_path):
         text = SMALL_SOLVE + "\n[stability]\nsubobjects = 0 1 0 0\n"
         cfg = write_config(tmp_path, text)
@@ -225,14 +237,18 @@ class TestConfigHandling:
             assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("tol", ["0", "nan"])
-    def test_bad_tol_exit_1(self, tmp_path, capsys, tol):
-        # 0 would read as "unset" and nan would fail every check it overrides
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "0"), ("--tol", "nan"), ("--seed", "-1")], ids=["0", "nan", "seed-1"]
+    )
+    def test_bad_tol_exit_1(self, tmp_path, capsys, flag, value):
+        # --tol 0 would read as "unset" and nan would fail every check it overrides;
+        # a negative --seed is no seed of numpy's generator
         cfg = write_config(tmp_path, SMALL_SOLVE)
-        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--tol", tol])
-        assert rc == 1
-        assert "--tol" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for command in ("solve", "stability", "verify-reduction", "verify-hk"):
+            rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value])
+            assert rc == 1
+            assert f"usage error: {flag}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_shipped_configs_parse(self):
         for name in (

@@ -7,35 +7,44 @@ from dcvortex import geometry as geo
 from dcvortex import higgs, vortex
 from dcvortex.errors import ConstraintError, DomainError
 
-from conftest import random_admissible_quadruplet, random_hermitian_log, random_metric_pair, unit_metrics
+from conftest import psi_entry, random_admissible_quadruplet, random_hermitian_log, random_metric_pair, unit_metrics
 
 
 def degree_from_curvature(F):
-    lam = geo.lambda_contract(F).trace()
-    return (1j / (2 * np.pi)) * geo.integrate(lam)[0, 0]
+    # (i/2pi) int tr Lambda(F) with Lambda(g dz^dzbar) = -2i g on the unit-area torus
+    return (1j / (2 * np.pi)) * np.einsum("xykk->xy", -2j * F).mean()
+
+
+def curvature(h, degrees):
+    return higgs.chern_curvature(h, higgs.metric_inverse(h), degrees)
+
+
+def adjoint(theta, h):
+    """theta^dagger_h = h^-1 T^dagger h for theta = T dz."""
+    return higgs.higgs_adjoint(theta, higgs.metric_inverse(h), h)
 
 
 class TestChernCurvature:
     def test_flat_background(self):
         g = geo.TorusGrid(16)
-        F = higgs.chern_curvature(geo.identity_field(g, 1), (0,))
-        assert F.sup_norm() == 0.0
+        F = curvature(geo.identity_field(g, 1), (0,))
+        assert geo.sup_norm(F) == 0.0
 
     def test_background_only_rank1_degree_d(self):
         # h = Id, degree d: F = -2 pi i d omega, i.e. coefficient pi d
         g = geo.TorusGrid(16)
-        F = higgs.chern_curvature(geo.identity_field(g, 1), (3,))
-        assert np.abs(F.values - 3 * np.pi).max() < 1e-13
+        F = curvature(geo.identity_field(g, 1), (3,))
+        assert np.abs(F - 3 * np.pi).max() < 1e-13
         assert abs(degree_from_curvature(F) - 3) < 1e-12
 
     def test_exponential_metric_matches_dbar_del(self):
         g = geo.TorusGrid(32)
         x, _ = g.coordinates()
         u = 0.1 * np.cos(2 * np.pi * x)[..., None, None] + 0j
-        h = geo.FieldOnTorus(g, geo.FUNCTION, np.exp(u))
-        F = higgs.chern_curvature(h, (0,))
-        oracle = geo.dbar(geo.del_(geo.FieldOnTorus(g, geo.FUNCTION, u)))
-        assert np.abs(F.values - oracle.values).max() < 1e-11
+        h = np.exp(u)
+        F = curvature(h, (0,))
+        oracle = -geo.dbar(geo.del_(u))  # dbar(w dz) = -(d_zbar w) dz^dzbar
+        assert np.abs(F - oracle).max() < 1e-11
         assert abs(degree_from_curvature(F)) < 1e-10
 
     def test_exponential_metric_against_stencil(self):
@@ -46,12 +55,12 @@ class TestChernCurvature:
         g = geo.TorusGrid(64)
         x, y = g.coordinates()
         u = (0.1 * np.cos(2 * np.pi * x) - 0.05 * np.sin(2 * np.pi * y))[..., None, None] + 0j
-        h = geo.FieldOnTorus(g, geo.FUNCTION, np.exp(u))
-        F = higgs.chern_curvature(h, (0,))
+        h = np.exp(u)
+        F = curvature(h, (0,))
         dz = lambda v: 0.5 * (stencil_derivative(v, g.n, 0) - 1j * stencil_derivative(v, g.n, 1))
         dzbar = lambda v: 0.5 * (stencil_derivative(v, g.n, 0) + 1j * stencil_derivative(v, g.n, 1))
         oracle = -dzbar(dz(u))  # dbar(w dz) carries coefficient -d_zbar w
-        assert np.abs(F.values - oracle).max() < 1e-4
+        assert np.abs(F - oracle).max() < 1e-4
 
     def test_degree_for_random_metric(self):
         rng = np.random.default_rng(5)
@@ -59,15 +68,20 @@ class TestChernCurvature:
         for degrees in [(0,), (2,), (-1, -1), (1, 1)]:
             q_degrees = degrees
             s = random_hermitian_log(g, q_degrees, rng)
-            h = geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(s))
-            F = higgs.chern_curvature(h, q_degrees)
+            h = higgs.expm_hermitian(s)
+            F = curvature(h, q_degrees)
             assert abs(degree_from_curvature(F) - sum(q_degrees)) < 1e-8
 
     def test_nonpositive_metric_rejected(self):
+        # chern_curvature itself does not check; the metric boundaries do
         g = geo.TorusGrid(8)
-        bad = geo.constant_field(g, [[-1.0]])
+        q = psi_entry(g)
+        c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
+        pair = higgs.MetricPair(geo.constant_field(g, [[-1.0]]), geo.identity_field(g, 1))
         with pytest.raises(DomainError):
-            higgs.chern_curvature(bad, (0,))
+            pair.validate()
+        with pytest.raises(DomainError):
+            vortex.residual(q, pair, c)
 
 
 class TestMetricChecks:
@@ -84,14 +98,12 @@ class TestMetricChecks:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0, 0), (0,),
-            geo.zero_field(g, 2, 2, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 2, 2), geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 2), geo.constant_field(g, [[1.0], [0.0]]),
         ).validate()
         c = vortex.constants_from_sigma(2, 2, 1, 0, 0)
         bad = geo.constant_field(g, self.BAD[kind])
         pair = higgs.MetricPair(bad, geo.identity_field(g, 1))
-        with pytest.raises(DomainError):
-            higgs.chern_curvature(bad, (0, 0))
         with pytest.raises(DomainError):
             pair.validate()
         with pytest.raises(DomainError):
@@ -104,37 +116,36 @@ class TestAdjoints:
     def test_scalar_higgs_adjoint(self):
         g = geo.TorusGrid(8)
         c = 1.5 - 0.5j
-        theta = geo.constant_field(g, [[c]], geo.FORM_10)
-        dag = higgs.higgs_adjoint(theta, geo.identity_field(g, 1))
-        assert dag.form_type == geo.FORM_01
-        assert np.abs(dag.values - np.conj(c)).max() < 1e-15
+        theta = geo.constant_field(g, [[c]])
+        dag = adjoint(theta, geo.identity_field(g, 1))
+        assert np.abs(dag - np.conj(c)).max() < 1e-15
 
     def test_defining_property_random(self):
         # h(theta s, t) = h(s, theta^dag t) pointwise for random data
         rng = np.random.default_rng(2)
         g = geo.TorusGrid(8)
         t_coeff = rng.standard_normal((g.n, g.n, 2, 2)) + 1j * rng.standard_normal((g.n, g.n, 2, 2))
-        theta = geo.FieldOnTorus(g, geo.FORM_10, t_coeff)
+        theta = t_coeff
         s_log = 0.3 * (lambda m: 0.5 * (m + geo.adjoint_values(m)))(
             rng.standard_normal((g.n, g.n, 2, 2)) + 1j * rng.standard_normal((g.n, g.n, 2, 2))
         )
-        h = geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(s_log))
-        dag = higgs.higgs_adjoint(theta, h)
+        h = higgs.expm_hermitian(s_log)
+        dag = adjoint(theta, h)
         s = rng.standard_normal((g.n, g.n, 2, 1)) + 1j * rng.standard_normal((g.n, g.n, 2, 1))
         t = rng.standard_normal((g.n, g.n, 2, 1)) + 1j * rng.standard_normal((g.n, g.n, 2, 1))
         adj = geo.adjoint_values
-        lhs = adj(t) @ h.values @ (t_coeff @ s)
-        rhs = adj(dag.values @ t) @ h.values @ s
+        lhs = adj(t) @ h @ (t_coeff @ s)
+        rhs = adj(dag @ t) @ h @ s
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_nilpotent_rank2_frozen_value(self):
         # defining-property oracle for theta = [[0,1],[0,0]] dz, h = diag(2,1)
         g = geo.TorusGrid(8)
-        theta = geo.constant_field(g, [[0, 1], [0, 0]], geo.FORM_10)
+        theta = geo.constant_field(g, [[0, 1], [0, 0]])
         h = geo.constant_field(g, np.diag([2.0, 1.0]))
-        dag = higgs.higgs_adjoint(theta, h)
+        dag = adjoint(theta, h)
         expected = np.array([[0, 0], [2.0, 0]])
-        assert np.abs(dag.values - expected).max() < 1e-14
+        assert np.abs(dag - expected).max() < 1e-14
 
     def test_morphism_adjoint_scalar_metrics(self):
         # f = c, h1 = e^u1, h2 = e^u2 (f: E1 -> E2): f* = h1^-1 conj(c) h2 = conj(c) e^(u2-u1),
@@ -144,7 +155,7 @@ class TestAdjoints:
         x, y = g.coordinates()
         u1 = 0.3 * np.cos(2 * np.pi * x)[..., None, None] + 0j
         u2 = -0.2 * np.sin(2 * np.pi * y)[..., None, None] + 0j
-        fstar = higgs._adjoint(geo.constant_field(g, [[c]]).values, 1.0 / np.exp(u1), np.exp(u2))
+        fstar = higgs.higgs_adjoint(geo.constant_field(g, [[c]]), 1.0 / np.exp(u1), np.exp(u2))
         assert np.abs(fstar - np.conj(c) * np.exp(u2 - u1)).max() < 1e-13
 
     def test_morphism_defining_property_and_involution(self):
@@ -154,48 +165,58 @@ class TestAdjoints:
         h1 = higgs.expm_hermitian(random_hermitian_log(g, (0,), rng))       # f: E2 -> E1, psi-shaped
         h2 = higgs.expm_hermitian(random_hermitian_log(g, (0, 0), rng))
         inv1, inv2 = higgs.metric_inverse(h1), higgs.metric_inverse(h2)
-        fstar = higgs._adjoint(fv, inv2, h1)
+        fstar = higgs.higgs_adjoint(fv, inv2, h1)
         adj = geo.adjoint_values
         s = rng.standard_normal((g.n, g.n, 2, 1)) + 0j
         t = rng.standard_normal((g.n, g.n, 1, 1)) + 0j
         lhs = adj(t) @ h1 @ (fv @ s)           # h1(f s, t)
         rhs = adj(fstar @ t) @ h2 @ s          # h2(s, f* t)
         assert np.abs(lhs - rhs).max() < 1e-12
-        assert np.abs(higgs._adjoint(fstar, inv1, h2) - fv).max() < 1e-12
+        assert np.abs(higgs.higgs_adjoint(fstar, inv1, h2) - fv).max() < 1e-12
 
 
 class TestBracket:
     def test_rank1_bracket_vanishes(self):
         g = geo.TorusGrid(8)
-        theta = geo.constant_field(g, [[2.0 + 1j]], geo.FORM_10)
-        dag = higgs.higgs_adjoint(theta, geo.constant_field(g, [[3.0]]))
+        theta = geo.constant_field(g, [[2.0 + 1j]])
+        dag = adjoint(theta, geo.constant_field(g, [[3.0]]))
         br = higgs.bracket_theta(theta, dag)
-        assert br.sup_norm() < 1e-15
+        assert geo.sup_norm(br) < 1e-15
 
     def test_zero_theta(self):
         g = geo.TorusGrid(8)
-        z = geo.zero_field(g, 2, 2, geo.FORM_10)
-        br = higgs.bracket_theta(z, higgs.higgs_adjoint(z, geo.identity_field(g, 2)))
-        assert br.sup_norm() == 0.0
+        z = geo.zero_field(g, 2, 2)
+        br = higgs.bracket_theta(z, adjoint(z, geo.identity_field(g, 2)))
+        assert geo.sup_norm(br) == 0.0
+
+    def test_nilpotent_rank2_hand_value(self):
+        # theta = [[0,1],[0,0]] dz, h = diag(2,1): theta^dag = [[0,0],[2,0]] dzbar, and
+        # [theta, theta^dag] = (T S - S T) dz^dzbar = diag(2, -2) dz^dzbar
+        g = geo.TorusGrid(8)
+        theta = geo.constant_field(g, [[0, 1], [0, 0]])
+        br = higgs.bracket_theta(theta, adjoint(theta, geo.constant_field(g, np.diag([2.0, 1.0]))))
+        assert np.abs(br - np.diag([2.0, -2.0])).max() < 1e-14
 
     def test_trace_free_and_integral_zero(self):
         rng = np.random.default_rng(3)
         g = geo.TorusGrid(16)
         tv = rng.standard_normal((g.n, g.n, 2, 2)) + 1j * rng.standard_normal((g.n, g.n, 2, 2))
-        theta = geo.FieldOnTorus(g, geo.FORM_10, tv)
-        h = geo.FieldOnTorus(g, geo.FUNCTION, higgs.expm_hermitian(random_hermitian_log(g, (0, 0), rng)))
-        br = higgs.bracket_theta(theta, higgs.higgs_adjoint(theta, h))
-        assert br.trace().sup_norm() < 1e-12
-        assert np.abs(geo.integrate(geo.lambda_contract(br).trace())).max() < 1e-10
+        theta = tv
+        h = higgs.expm_hermitian(random_hermitian_log(g, (0, 0), rng))
+        br = higgs.bracket_theta(theta, adjoint(theta, h))
+        trace = np.einsum("xykk->xy", br)
+        assert geo.sup_norm(trace) < 1e-12
+        assert abs(-2j * trace.mean()) < 1e-10
 
     def test_rank1_positivity(self):
         # i Lambda(theta ^ theta^dag) = 2 |T|^2 >= 0 pointwise in rank 1
         rng = np.random.default_rng(4)
         g = geo.TorusGrid(8)
         tv = rng.standard_normal((g.n, g.n, 1, 1)) + 1j * rng.standard_normal((g.n, g.n, 1, 1))
-        theta = geo.FieldOnTorus(g, geo.FORM_10, tv)
-        dag = higgs.higgs_adjoint(theta, geo.identity_field(g, 1))
-        val = 1j * geo.lambda_contract(geo.wedge(theta, dag)).values
+        theta = tv
+        dag = adjoint(theta, geo.identity_field(g, 1))
+        # theta ^ theta^dag = T S dz^dzbar, and Lambda(g dz^dzbar) = -2i g
+        val = 1j * (-2j * (theta @ dag))
         assert np.min(val.real) >= 0.0
         assert np.abs(val.imag).max() < 1e-13
 
@@ -205,8 +226,8 @@ class TestQuadrupletConstraints:
         g = geo.TorusGrid(16)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.constant_field(g, [[1.2]], geo.FORM_10),
-            geo.constant_field(g, [[1.2]], geo.FORM_10),
+            geo.constant_field(g, [[1.2]]),
+            geo.constant_field(g, [[1.2]]),
             geo.zero_field(g, 1, 1),
             geo.constant_field(g, [[0.5]]),
         )
@@ -218,8 +239,8 @@ class TestQuadrupletConstraints:
         g = geo.TorusGrid(32)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1),
+            geo.zero_field(g, 1, 1),
             geo.mode_field(g, 1, 0),
             geo.zero_field(g, 1, 1),
         )
@@ -235,12 +256,12 @@ class TestQuadrupletConstraints:
         g = geo.TorusGrid(16)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1),
+            geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 1),
             geo.mode_field(g, p, q_),
         )
-        assert geo.dbar(q.psi).sup_norm() < 1e-12
+        assert geo.sup_norm(geo.dbar(q.psi)) < 1e-12
         assert higgs.holomorphy_residuals(q).psi == pytest.approx(8 * np.pi, rel=1e-12)
         with pytest.raises(ConstraintError):
             q.validate()
@@ -250,8 +271,8 @@ class TestQuadrupletConstraints:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1),
+            geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 1),
             geo.constant_field(g, [[value]]),
         )
@@ -262,8 +283,8 @@ class TestQuadrupletConstraints:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1),
+            geo.zero_field(g, 1, 1),
             geo.constant_field(g, [[1.0]]),
             geo.constant_field(g, [[1.0]]),
         )
@@ -275,8 +296,8 @@ class TestQuadrupletConstraints:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (1,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1),
+            geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 1),
             geo.constant_field(g, [[1.0]]),
         )

@@ -47,23 +47,26 @@ def configuration_from_solution(q, h):
     conjugate accordingly.
     """
     def sqrt_and_inverse(m):
-        w, v = np.linalg.eigh(m.values)
+        w, v = np.linalg.eigh(m)
         root = (v * np.sqrt(w)[..., None, :]) @ geo.adjoint_values(v)
         return root, higgs.metric_inverse(root)
 
     (g1, g1_inv), (g2, g2_inv) = sqrt_and_inverse(h.h1), sqrt_and_inverse(h.h2)
     return hk.Configuration(
         q.grid, tuple(q.block_degrees1), tuple(q.block_degrees2),
-        a1=g1_inv @ geo._d_z(g1), p1=-1j * g1 @ q.theta1.values @ g1_inv,
-        a2=g2_inv @ geo._d_z(g2), p2=-1j * g2 @ q.theta2.values @ g2_inv,
-        phi=g2 @ q.phi.values @ g1_inv, psi=g1 @ q.psi.values @ g2_inv,
+        a1=g1_inv @ geo.del_(g1), p1=-1j * g1 @ q.theta1 @ g1_inv,
+        a2=g2_inv @ geo.del_(g2), p2=-1j * g2 @ q.theta2 @ g2_inv,
+        phi=g2 @ q.phi @ g1_inv, psi=g1 @ q.psi @ g2_inv,
     )
 
 
 def level_set_defect(x, c):
-    """Sup distance of Lambda(mu_I) from the central value (-2 pi i tau Id, -2 pi i tau' Id)."""
+    """Sup distance of Lambda(mu_I) from the central value (-2 pi i tau Id, -2 pi i tau' Id).
+
+    Lambda(g dz^dzbar) = -2i g.
+    """
     return max(
-        geo.sup_norm(geo.lambda_contract(mu).values + 2j * np.pi * float(t) * np.eye(r))
+        geo.sup_norm(-2j * mu + 2j * np.pi * float(t) * np.eye(r))
         for mu, t, r in zip(hk.moment_mu_I(x), (c.tau, c.tau_prime), (x.r1, x.r2))
     )
 
@@ -73,7 +76,7 @@ def constraint_residual(x):
     d1, d2 = -geo.adjoint_values(x.a1), -geo.adjoint_values(x.a2)
 
     def dbar_cov(values, left, right):
-        return geo.sup_norm(geo._d_zbar(values) + left @ values - values @ right)
+        return geo.sup_norm(geo.dbar(values) + left @ values - values @ right)
 
     return max(
         dbar_cov(x.p1, d1, d1), dbar_cov(x.p2, d2, d2), dbar_cov(x.phi, d2, d1), dbar_cov(x.psi, d1, d2),
@@ -121,10 +124,9 @@ class TestQuaternions:
             a = hk.random_tangent(small_grid, 2, 1, rng)
             assert max_slot_diff(op(op(a)), a, sign=-1.0) < 1e-12
 
-    def test_K_equals_IJ_and_anticommutation(self, rng, small_grid):
+    def test_IJ_anticommute(self, rng, small_grid):
         for _ in range(10):
             a = hk.random_tangent(small_grid, 1, 2, rng)
-            assert max_slot_diff(hk.apply_K(a), hk.apply_I(hk.apply_J(a))) == 0.0
             assert max_slot_diff(hk.apply_I(hk.apply_J(a)), hk.apply_J(hk.apply_I(a)), sign=-1.0) < 1e-12
 
     def test_quaternion_defect_detects_a_sign_error(self, rng, small_grid, monkeypatch):
@@ -180,7 +182,7 @@ class TestMomentMap:
         z = lambda ro, ri: np.zeros((16, 16, ro, ri), dtype=complex)
         x = hk.Configuration(small_grid, (0,), (0,), z(1, 1), z(1, 1), z(1, 1), z(1, 1), z(1, 1), z(1, 1))
         mu = hk.moment_mu_I(x)
-        assert mu[0].sup_norm() == 0.0 and mu[1].sup_norm() == 0.0
+        assert geo.sup_norm(mu[0]) == 0.0 and geo.sup_norm(mu[1]) == 0.0
 
     def test_identity_random_draws(self, rng, small_grid):
         x = hk.random_configuration(small_grid, 2, 1, rng)
@@ -216,8 +218,8 @@ class TestMomentMap:
         mu = hk.moment_mu_I(x)
         mu_g = hk.moment_mu_I(hk.gauge_transform(x, g1, g2))
         adj = geo.adjoint_values
-        assert np.max(np.abs(mu_g[0].values - g1 @ mu[0].values @ adj(g1))) < 1e-10
-        assert np.max(np.abs(mu_g[1].values - g2 @ mu[1].values @ adj(g2))) < 1e-10
+        assert np.max(np.abs(mu_g[0] - g1 @ mu[0] @ adj(g1))) < 1e-10
+        assert np.max(np.abs(mu_g[1] - g2 @ mu[1] @ adj(g2))) < 1e-10
 
 
 class TestSolutionCharacterization:
@@ -237,7 +239,7 @@ class TestSolutionCharacterization:
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
         h = unit_metrics(q)
         # flat metrics do not solve the tau = 1 system
-        assert vortex.residual(q, h, c).sup() > 1e-8
+        assert max(map(geo.sup_norm, vortex.residual(q, h, c))) > 1e-8
         assert level_set_defect(configuration_from_solution(q, h), c) > 1.0
 
     def test_degree_shifted_flat_solution_is_central(self):
@@ -256,4 +258,4 @@ class TestSolutionCharacterization:
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
         h, _ = vortex.solve(q, c, vortex.SolveOptions(target_residual=1e-6))
         defect = level_set_defect(configuration_from_solution(q, h), c)
-        assert defect == pytest.approx(vortex.residual(q, h, c).sup(), rel=1e-3)
+        assert defect == pytest.approx(max(map(geo.sup_norm, vortex.residual(q, h, c))), rel=1e-3)

@@ -141,8 +141,8 @@ class TestCoordinateSubquadruplets:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0, 1), (2,),
-            geo.constant_field(g, np.diag([1.0, 2.0]), geo.FORM_10),
-            geo.constant_field(g, [[3.0]], geo.FORM_10),
+            geo.constant_field(g, np.diag([1.0, 2.0])),
+            geo.constant_field(g, [[3.0]]),
             geo.zero_field(g, 1, 2),
             geo.zero_field(g, 2, 1),
         )
@@ -153,8 +153,8 @@ class TestCoordinateSubquadruplets:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (1, -2), (3,),
-            geo.zero_field(g, 2, 2, geo.FORM_10),
-            geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 2, 2),
+            geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 2),
             geo.zero_field(g, 2, 1),
         )

@@ -78,33 +78,33 @@ class TestResidual:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         c = vortex.constants_from_tau(0, 1, 1, 0, 0)
-        res = vortex.residual(q, unit_metrics(q), c)
-        assert res.sup() == 0.0
+        r1, r2 = vortex.residual(q, unit_metrics(q), c)
+        assert max(geo.sup_norm(r1), geo.sup_norm(r2)) == 0.0
 
     def test_constants_only(self):
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         c = vortex.constants_from_tau(1, 1, 1, 0, 0)
-        res = vortex.residual(q, unit_metrics(q), c)
-        assert np.abs(res.R1.values - 2j * np.pi).max() < 1e-14
-        assert np.abs(res.R2.values + 2j * np.pi).max() < 1e-14
+        r1, r2 = vortex.residual(q, unit_metrics(q), c)
+        assert np.abs(r1 - 2j * np.pi).max() < 1e-14
+        assert np.abs(r2 + 2j * np.pi).max() < 1e-14
 
     def test_psi_one_hand_value(self):
         # psi = 1, phi = 0, theta = 0, h = Id, tau = 1: R1 = -i + 2 pi i
         g = geo.TorusGrid(8)
         q = psi_entry(g)
         c = vortex.constants_from_tau(1, 1, 1, 0, 0)
-        res = vortex.residual(q, unit_metrics(q), c)
-        assert np.abs(res.R1.values - (-1j + 2j * np.pi)).max() < 1e-13
-        assert np.abs(res.R2.values - (1j - 2j * np.pi)).max() < 1e-13
+        r1, r2 = vortex.residual(q, unit_metrics(q), c)
+        assert np.abs(r1 - (-1j + 2j * np.pi)).max() < 1e-13
+        assert np.abs(r2 - (1j - 2j * np.pi)).max() < 1e-13
 
     def test_nilpotent_rank2_hand_value(self):
         # theta1 = [[0,1],[0,0]] dz on O + O, h1 = diag(3, 1/2), E2 = O, tau = 1:
@@ -113,13 +113,13 @@ class TestResidual:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0, 0), (0,),
-            geo.constant_field(g, [[0, 1], [0, 0]], geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.constant_field(g, [[0, 1], [0, 0]]), geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 2), geo.zero_field(g, 2, 1),
         ).validate()
         c = vortex.constants_from_tau(1, 2, 1, 0, 0)
         h = higgs.MetricPair(geo.constant_field(g, np.diag([3.0, 0.5])), geo.identity_field(g, 1))
-        res = vortex.residual(q, h, c)
-        assert np.abs(res.R1.values - (-2j * np.diag([6.0, -6.0]) + 2j * np.pi * np.eye(2))).max() < 1e-13
+        r1, _ = vortex.residual(q, h, c)
+        assert np.abs(r1 - (-2j * np.diag([6.0, -6.0]) + 2j * np.pi * np.eye(2))).max() < 1e-13
 
     def test_i_times_residual_is_self_adjoint(self):
         # h-self-adjointness holds up to the Fourier tail of exp(s); n = 32
@@ -131,10 +131,10 @@ class TestResidual:
         c = vortex.constants_from_tau(random_fraction(rng), q.r1, q.r2, q.d1, q.d2)
         res = vortex.residual(q, h, c)
         adj = geo.adjoint_values
-        for R, hh in ((res.R1, h.h1), (res.R2, h.h2)):
-            iR = 1j * R.values
+        for R, hh in zip(res, (h.h1, h.h2)):
+            iR = 1j * R
             lhs = adj(iR)
-            rhs = hh.values @ iR @ higgs.metric_inverse(hh.values)
+            rhs = hh @ iR @ higgs.metric_inverse(hh)
             assert np.abs(lhs - rhs).max() < 1e-7
 
     def test_gauge_covariance_common_scaling(self):
@@ -147,8 +147,8 @@ class TestResidual:
         h_scaled = higgs.MetricPair(lam * h.h1, lam * h.h2)
         res = vortex.residual(q, h, c)
         res_s = vortex.residual(q, h_scaled, c)
-        assert np.abs(res.R1.values - res_s.R1.values).max() < 1e-10
-        assert np.abs(res.R2.values - res_s.R2.values).max() < 1e-10
+        assert np.abs(res[0] - res_s[0]).max() < 1e-10
+        assert np.abs(res[1] - res_s[1]).max() < 1e-10
 
 
 class TestTraceIdentity:
@@ -180,8 +180,8 @@ class TestTraceIdentity:
 def assert_psi_entry_solution(h, tol):
     # closed form for the psi entry at sigma = 2 (tau = 1): h1/h2 = 2 pi, and
     # the summed-trace gauge fixes h1 h2 = 1
-    assert np.abs(h.h1.values - np.sqrt(2 * np.pi)).max() < tol
-    assert np.abs(h.h2.values - 1 / np.sqrt(2 * np.pi)).max() < tol
+    assert np.abs(h.h1 - np.sqrt(2 * np.pi)).max() < tol
+    assert np.abs(h.h2 - 1 / np.sqrt(2 * np.pi)).max() < tol
 
 
 class TestSolver:
@@ -189,13 +189,13 @@ class TestSolver:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.zero_field(g, 1, 1, geo.FORM_10), geo.zero_field(g, 1, 1, geo.FORM_10),
+            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
             geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
         ).validate()
         c = vortex.constants_from_tau(0, 1, 1, 0, 0)
         h, rep = vortex.solve(q, c)
         assert rep.converged and rep.iterations == 0
-        assert np.abs(h.h1.values - 1.0).max() == 0.0
+        assert np.abs(h.h1 - 1.0).max() == 0.0
 
     def test_stable_entry_converges_small_grid(self):
         g = geo.TorusGrid(16)
@@ -221,8 +221,8 @@ class TestSolver:
         q0 = psi_entry(g)
         qt = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.constant_field(g, [[0.8]], geo.FORM_10),
-            geo.constant_field(g, [[0.8]], geo.FORM_10),
+            geo.constant_field(g, [[0.8]]),
+            geo.constant_field(g, [[0.8]]),
             geo.zero_field(g, 1, 1),
             geo.constant_field(g, [[1.0]]),
         ).validate()
@@ -230,7 +230,7 @@ class TestSolver:
         h0, rep0 = vortex.solve(q0, c, opts)
         ht, rept = vortex.solve(qt, c, opts)
         assert rept.converged
-        assert np.abs(h0.h1.values - ht.h1.values).max() < 1e-12
+        assert np.abs(h0.h1 - ht.h1).max() < 1e-12
 
     def test_rank2_direct_sum_converges(self):
         # two copies of the stable entry: polystable, so a solution exists and
@@ -238,7 +238,7 @@ class TestSolver:
         g = geo.TorusGrid(16)
         q = higgs.QuadrupletSpec(
             g, (0, 0), (0, 0),
-            geo.zero_field(g, 2, 2, geo.FORM_10), geo.zero_field(g, 2, 2, geo.FORM_10),
+            geo.zero_field(g, 2, 2), geo.zero_field(g, 2, 2),
             geo.zero_field(g, 2, 2), geo.identity_field(g, 2),
         ).validate()
         c = vortex.constants_from_sigma(2, 2, 2, 0, 0)
@@ -246,7 +246,7 @@ class TestSolver:
         h, rep = vortex.solve(q, c, vortex.SolveOptions(target_residual=1e-8))
         assert rep.converged
         # per-block the solution matches the rank-1 one: h1 h2^-1 = 2 pi Id
-        ratio = h.h1.values @ np.linalg.inv(h.h2.values)
+        ratio = h.h1 @ np.linalg.inv(h.h2)
         assert np.abs(ratio - 2 * np.pi * np.eye(2)).max() < 1e-6
 
     def test_unstable_entry_does_not_converge(self):
@@ -286,8 +286,8 @@ class TestSolver:
             h, rep = vortex.solve(q, c, initial_log_metric=start)
             assert rep.converged, rep.message
             assert rep.iterations <= 100
-            log1 = np.log(h.h1.values.real / h_ref.h1.values.real)
-            log2 = np.log(h.h2.values.real / h_ref.h2.values.real)
+            log1 = np.log(h.h1.real / h_ref.h1.real)
+            log2 = np.log(h.h2.real / h_ref.h2.real)
             scale = np.mean(log1 + log2) / 2
             assert np.abs(log1 - scale).max() < 1e-8
             assert np.abs(log2 - scale).max() < 1e-8
