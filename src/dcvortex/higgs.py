@@ -219,15 +219,18 @@ def _dbar_defect(f: np.ndarray) -> float:
     return max(geo.sup_norm(geo.dbar(f)), 0.5 * np.pi * n * float(nyquist))
 
 
-def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray):
+def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray, inv1=None, inv2=None):
     """The pieces of the vortex residual for metric arrays h1, h2.
 
     Returns Lambda(F_{h_i} + [theta_i, theta_i^dagger]) for both bundles,
-    then the four coupling endomorphisms of `coupling_terms`.  Each metric
-    is inverted once.  The metrics are not checked: callers pass metrics
-    that are positive by construction or were validated.
+    then the four coupling endomorphisms of `coupling_terms`.  inv1, inv2
+    are h1^-1, h2^-1 when the caller already has them and must match h1,
+    h2; a missing one is computed here, once.  The metrics are not
+    checked: callers pass metrics that are positive by construction or
+    were validated.
     """
-    inv1, inv2 = metric_inverse(h1), metric_inverse(h2)
+    inv1 = metric_inverse(h1) if inv1 is None else inv1
+    inv2 = metric_inverse(h2) if inv2 is None else inv2
     lam = []
     for theta, h, hinv, degrees in (
         (q.theta1, h1, inv1, q.block_degrees1),

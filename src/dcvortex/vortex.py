@@ -42,7 +42,9 @@ BACKTRACK = 0.5        # step factor after a rejected step
 GROW = 1.05            # step factor after every GROW_EVERY accepted steps
 GROW_EVERY = 25
 MIN_STEP = 1e-14       # below this the step has collapsed
-S_BOUND = 40.0         # |s| beyond this is a scale runaway
+# spread of the log-metric spectrum past which the metric eigenvalues differ by more than 1/eps;
+# widening past it without progress is a runaway
+PRECISION_LIMIT = -np.log(np.finfo(float).eps)
 MIN_REL_IMPROVEMENT = 1e-9  # relative progress that resets the patience count
 
 
@@ -95,15 +97,18 @@ def constants_from_sigma(sigma, r1: int, r2: int, d1: int, d2: int) -> VortexCon
     return constants_from_tau(tau, r1, r2, d1, d2)
 
 
-def residual(q: QuadrupletSpec, h: MetricPair, c: VortexConstants, *, checked: bool = True):
+def residual(
+    q: QuadrupletSpec, h: MetricPair, c: VortexConstants, *, checked: bool = True, inverses=(None, None)
+):
     """(R1, R2) at the metrics h, endomorphism-valued functions as arrays.
 
     checked=False skips the Hermitian/positivity check of h; the solver
-    passes it for its own iterates h = exp(herm s), positive by construction.
+    passes it for its own iterates h = exp(herm s), positive by construction,
+    together with the inverses (h1^-1, h2^-1) it already has (None: computed).
     """
     if checked:
         h.validate()
-    lam1, lam2, phis_phi, phi_phis, psi_psis, psis_psi = higgs.residual_terms(q, h.h1, h.h2)
+    lam1, lam2, phis_phi, phi_phis, psi_psis, psis_psi = higgs.residual_terms(q, h.h1, h.h2, *inverses)
     tau = float(c.tau)
     tau_p = float(c.tau_prime)
     eye1 = np.eye(q.r1)
@@ -151,6 +156,25 @@ def _renormalize_trace(s1: np.ndarray, s2: np.ndarray, r1: int, r2: int):
     return s1, s2
 
 
+def _exp_with_inverse(s: np.ndarray):
+    """(exp s, exp(s)^-1 or None, eigenvalues of s) for a Hermitian field s, from one eigendecomposition.
+
+    With s = V diag(w) V^dagger pointwise, exp s = V e^w V^dagger (the
+    product `higgs.expm_hermitian` forms) and exp(s)^-1 = V diag(1 / e^w)
+    V^dagger, so a diagonal s gives exactly the reciprocals; w has shape
+    (n, n, r).  Rank 1 takes no decomposition and returns None for the
+    inverse: `higgs.residual_terms` then forms 1 / h itself and frees it
+    when it returns (formed here, it stayed alive through the rest of the
+    residual and made the rank-1 solve on a 64 x 64 grid 7-11 % slower).
+    """
+    if s.shape[-1] == 1:
+        return higgs.expm_hermitian(s), None, s[..., 0].real
+    w, v = np.linalg.eigh(s)
+    ew = np.exp(w)[..., None, :]
+    v_dag = geo.adjoint_values(v)
+    return (v * ew) @ v_dag, (v / ew) @ v_dag, w
+
+
 def solve(
     q: QuadrupletSpec,
     c: VortexConstants,
@@ -169,9 +193,20 @@ def solve(
     as the identity.
 
     Backtracking keeps the sup residual non-increasing, and no step moves s
-    by more than MAX_UPDATE; nonconvergence
-    (stall, scale runaway, or step collapse) is reported as a result, not
-    raised - it is the expected outcome for unstable quadruplets.
+    by more than MAX_UPDATE.  Nonconvergence is reported as a result, not
+    raised - it is the expected outcome for unstable quadruplets.  The run
+    ends "diverged" on the first accepted step that widens the spread of
+    the log-metric spectrum (largest eigenvalue of s1 and s2 minus the
+    smallest, over the grid) past PRECISION_LIMIT = ln(1/eps) and does not
+    improve the best sup residual by MIN_REL_IMPROVEMENT: the metric runs
+    away while the residual makes no progress.  A stable solution may lie
+    past the limit (small Higgs fields); the run goes on while the steps
+    still improve the residual.  Coupling below MIN_REL_IMPROVEMENT of the
+    residual at the limit cannot be told from none, so such input (psi =
+    1e-13 on the stable rank-1 entry) also ends "diverged".  It ends
+    "stalled" after more than `patience` accepted steps without relative
+    progress and "step collapse" when backtracking drives the step below
+    MIN_STEP.
     initial_log_metric=(s1, s2) starts from h_i = exp(s_i) (Hermitian parts
     used) instead of h_i = Id.
     Returns (MetricPair of the best iterate, SolveReport).
@@ -199,10 +234,16 @@ def solve(
                 raise DomainError(f"initial {what} has non-finite values")
         s1, s2 = _renormalize_trace(s1, s2, q.r1, q.r2)
 
-    def metrics(a, b):
-        return MetricPair(higgs.expm_hermitian(a), higgs.expm_hermitian(b))
+    def evaluate(a, b):
+        # one eigendecomposition per log metric gives h, h^-1 and the spectrum;
+        # the metrics die with the call, so no step holds more arrays than the residual needs
+        (h1, inv1, w1), (h2, inv2, w2) = _exp_with_inverse(a), _exp_with_inverse(b)
+        return residual(q, MetricPair(h1, h2), c, checked=False, inverses=(inv1, inv2)), (w1, w2)
 
-    res = residual(q, metrics(s1, s2), c, checked=False)
+    def spread(w):
+        return max(w[0].max(), w[1].max()) - min(w[0].min(), w[1].min())
+
+    res, w = evaluate(s1, s2)
     sup1, sup2 = map(geo.sup_norm, res)
     sup = max(sup1, sup2)
     history = [(0, sup1, sup2)]
@@ -225,24 +266,27 @@ def solve(
             # bounds the residual, and the runaway test below then fires
             step1, step2 = step1 * (MAX_UPDATE / size), step2 * (MAX_UPDATE / size)
         cand1, cand2 = _renormalize_trace(s1 - step1, s2 - step2, q.r1, q.r2)
-        res_cand = residual(q, metrics(cand1, cand2), c, checked=False)
+        res_cand, cand_w = evaluate(cand1, cand2)
         c1, c2 = map(geo.sup_norm, res_cand)
         cand_sup = max(c1, c2)
 
         if cand_sup <= sup * (1.0 + 1e-12):
-            s1, s2, res = cand1, cand2, res_cand
+            progress = cand_sup < best[0] * (1.0 - MIN_REL_IMPROVEMENT)
+            # spreads are taken only on steps without progress, so a converging run never pays for them
+            widened = not progress and spread(cand_w) > max(spread(w), PRECISION_LIMIT)
+            s1, s2, res, w = cand1, cand2, res_cand, cand_w
             sup1, sup2, sup = c1, c2, cand_sup
             accepted += 1
             history.append((accepted, sup1, sup2))
             if accepted % GROW_EVERY == 0:
                 eps *= GROW
-            if sup < best[0] * (1.0 - MIN_REL_IMPROVEMENT):
+            if progress:
                 best = (sup, s1, s2, sup1, sup2)
                 best_iter = accepted
             if sup <= opts.target_residual:
                 converged, message = True, "converged"
                 break
-            if max(geo.sup_norm(s1), geo.sup_norm(s2)) > S_BOUND:
+            if widened:
                 message = "diverged: metric log runaway (unstable quadruplet?)"
                 break
             if accepted - best_iter > opts.patience:
@@ -264,4 +308,4 @@ def solve(
         message=message,
         history=history,
     )
-    return metrics(s1, s2), report
+    return MetricPair(higgs.expm_hermitian(s1), higgs.expm_hermitian(s2)), report
