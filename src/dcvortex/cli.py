@@ -184,10 +184,10 @@ def cmd_verify_hk(cfg: RunConfig, out_dir: Path, seed, check_tol) -> Report:
     gx = hyperkahler.gauge_transform(x, g1, g2)
     mu = hyperkahler.moment_mu_I(x)
     mu_g = hyperkahler.moment_mu_I(gx)
-    adj = geo.adjoint_values
+    adj, mm = geo.adjoint_values, geo.matmul
     equin = max(
-        geo.sup_norm(mu_g[0] - g1 @ mu[0] @ adj(g1)),
-        geo.sup_norm(mu_g[1] - g2 @ mu[1] @ adj(g2)),
+        geo.sup_norm(mu_g[0] - mm(mm(g1, mu[0]), adj(g1))),
+        geo.sup_norm(mu_g[1] - mm(mm(g2, mu[1]), adj(g2))),
     )
     report = Report(
         command="verify-hk",

@@ -8,6 +8,11 @@ Conventions fixed here once for the whole package:
 * A field is a plain complex array of shape (n, n, r_out, r_in): a
   matrix at every grid point.  The slot that holds it fixes its form type;
   a (1,0)-form u dz is stored as u, a (0,1)-form v dzbar as v.
+* Every pointwise matrix product goes through `matmul(a, b)`: the last
+  two axes are the matrix, the leading axes broadcast as in numpy, and
+  (a b)_ik = sum_j a_ij b_jk is accumulated in ascending j, one broadcast
+  multiply-add per inner index.  Ranks are at most a few, so this beats
+  `@`, which treats a stack as many tiny separate products.
 * A (1,1)-form stores its single coefficient g relative to dz^dzbar;
   hence Lambda(g dz^dzbar) = -2i g and its integral is -2i <g>.
 * `del_` and `dbar` are the spectral d/dz and d/dzbar.  On forms,
@@ -25,6 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ShapeError
 
 # omega = OMEGA_COEFF * dz^dzbar
 OMEGA_COEFF = 0.5j
@@ -105,6 +112,17 @@ def dbar(values: np.ndarray) -> np.ndarray:
 
 
 # -- pointwise matrix algebra -----------------------------------------------
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product of two (..., r_out, r) and (..., r, r_in) stacks."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2] or a.shape[-1] == 0:
+        raise ShapeError(f"cannot multiply matrix stacks of shapes {a.shape} and {b.shape}")
+    inner = a.shape[-1]
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, inner):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
 
 def adjoint_values(v: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(v, -1, -2))

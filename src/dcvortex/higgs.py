@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConstraintError, DomainError, ShapeError
-from .geometry import TorusGrid
+from .geometry import TorusGrid, matmul
 
 DEFAULT_CONSTRAINT_TOL = 1e-9
 
@@ -102,8 +102,8 @@ class QuadrupletSpec:
         _check_mask(self.theta2, m2, "theta2", self.tol)
         _check_mask(self.phi, mphi, "phi", self.tol)
         _check_mask(self.psi, mpsi, "psi", self.tol)
-        comp1 = geo.sup_norm(self.phi @ self.psi)
-        comp2 = geo.sup_norm(self.psi @ self.phi)
+        comp1 = geo.sup_norm(matmul(self.phi, self.psi))
+        comp2 = geo.sup_norm(matmul(self.psi, self.phi))
         if max(comp1, comp2) > self.tol:
             raise ConstraintError(
                 f"phi o psi / psi o phi must vanish (sup {max(comp1, comp2):.3e})"
@@ -143,7 +143,7 @@ def expm_hermitian(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 1:
         return np.exp(values)
     w, v = np.linalg.eigh(values)
-    return (v * np.exp(w)[..., None, :]) @ geo.adjoint_values(v)
+    return matmul(v * np.exp(w)[..., None, :], geo.adjoint_values(v))
 
 
 def metric_inverse(values: np.ndarray) -> np.ndarray:
@@ -161,7 +161,7 @@ def chern_curvature(h: np.ndarray, hinv: np.ndarray, background_degrees: Sequenc
     Satisfies (i/2pi) integral tr Lambda(F_h) vol = sum(background_degrees).
     """
     background = np.pi * np.diag(np.asarray(background_degrees, dtype=float))
-    return background - geo.dbar(hinv @ geo.del_(h))
+    return background - geo.dbar(matmul(hinv, geo.del_(h)))
 
 
 def higgs_adjoint(f: np.ndarray, hinv_from: np.ndarray, h_to: np.ndarray) -> np.ndarray:
@@ -170,7 +170,7 @@ def higgs_adjoint(f: np.ndarray, hinv_from: np.ndarray, h_to: np.ndarray) -> np.
     For a Higgs field theta = T dz with metric h this is the dzbar
     coefficient h^-1 T^dagger h of theta^dagger_h.
     """
-    return hinv_from @ geo.adjoint_values(f) @ h_to
+    return matmul(matmul(hinv_from, geo.adjoint_values(f)), h_to)
 
 
 def bracket_theta(t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def bracket_theta(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     The dz^dzbar coefficient is the matrix commutator T S - S T; in
     particular it is trace free pointwise.
     """
-    return t @ s - s @ t
+    return matmul(t, s) - matmul(s, t)
 
 
 class HolomorphyResiduals(NamedTuple):
@@ -200,9 +200,9 @@ def holomorphy_residuals(q: QuadrupletSpec) -> HolomorphyResiduals:
     r_t1 = _dbar_defect(q.theta1)
     r_t2 = _dbar_defect(q.theta2)
     dbar_phi = _dbar_defect(q.phi)
-    twist_phi = geo.sup_norm(q.theta2 @ q.phi - q.phi @ q.theta1)
+    twist_phi = geo.sup_norm(matmul(q.theta2, q.phi) - matmul(q.phi, q.theta1))
     dbar_psi = _dbar_defect(q.psi)
-    twist_psi = geo.sup_norm(q.theta1 @ q.psi - q.psi @ q.theta2)
+    twist_psi = geo.sup_norm(matmul(q.theta1, q.psi) - matmul(q.psi, q.theta2))
     return HolomorphyResiduals(r_t1, r_t2, max(dbar_phi, twist_phi), max(dbar_psi, twist_psi))
 
 
@@ -248,4 +248,4 @@ def coupling_terms(q: QuadrupletSpec, h1, h2, inv1, inv2):
     """
     phi_star = higgs_adjoint(q.phi, inv1, h2)
     psi_star = higgs_adjoint(q.psi, inv2, h1)
-    return phi_star @ q.phi, q.phi @ phi_star, q.psi @ psi_star, psi_star @ q.psi
+    return matmul(phi_star, q.phi), matmul(q.phi, phi_star), matmul(q.psi, psi_star), matmul(psi_star, q.psi)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConstraintError, ShapeError
-from .geometry import TorusGrid, adjoint_values
+from .geometry import TorusGrid, adjoint_values, matmul
 
 TWO_PI = 2.0 * np.pi
 
@@ -138,13 +138,13 @@ def _curvature_coeff(degrees: Sequence[int], c: np.ndarray) -> np.ndarray:
     d = -adjoint_values(c)
     da = geo.del_(d) - geo.dbar(c)
     bg = np.pi * np.diag(np.asarray(degrees, dtype=float))
-    return bg + da + (c @ d - d @ c)
+    return bg + da + (matmul(c, d) - matmul(d, c))
 
 
 def _wedge_square_coeff(p: np.ndarray) -> np.ndarray:
     """dz^dzbar coefficient of Phi ^ Phi for Phi = P dz - P^dag dzbar."""
     q = -adjoint_values(p)
-    return p @ q - q @ p
+    return matmul(p, q) - matmul(q, p)
 
 
 def moment_mu_I(x: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -152,10 +152,10 @@ def moment_mu_I(x: Configuration) -> tuple[np.ndarray, np.ndarray]:
 
     At a vortex solution the value is (-2 pi i tau Id omega, -2 pi i tau' Id omega).
     """
-    phis_phi = adjoint_values(x.phi) @ x.phi
-    phi_phis = x.phi @ adjoint_values(x.phi)
-    psi_psis = x.psi @ adjoint_values(x.psi)
-    psis_psi = adjoint_values(x.psi) @ x.psi
+    phis_phi = matmul(adjoint_values(x.phi), x.phi)
+    phi_phis = matmul(x.phi, adjoint_values(x.phi))
+    psi_psis = matmul(x.psi, adjoint_values(x.psi))
+    psis_psi = matmul(adjoint_values(x.psi), x.psi)
     f1 = _curvature_coeff(x.block_degrees1, x.a1)
     f2 = _curvature_coeff(x.block_degrees2, x.a2)
     mu1 = f1 - _wedge_square_coeff(x.p1) + (1j * phis_phi - 1j * psi_psis) * geo.OMEGA_COEFF
@@ -165,8 +165,8 @@ def moment_mu_I(x: Configuration) -> tuple[np.ndarray, np.ndarray]:
 
 def moment_pairing(mu: tuple[np.ndarray, np.ndarray], xi: GaugeDirection) -> float:
     """<mu, xi> = int Tr(u mu_1) + int Tr(v mu_2) = -2i <tr(u mu_1) + tr(v mu_2)>; real for skew xi."""
-    t1 = -2j * np.einsum("xykk->xy", xi.u @ mu[0]).mean()
-    t2 = -2j * np.einsum("xykk->xy", xi.v @ mu[1]).mean()
+    t1 = -2j * np.einsum("xykk->xy", matmul(xi.u, mu[0])).mean()
+    t2 = -2j * np.einsum("xykk->xy", matmul(xi.v, mu[1])).mean()
     return float((t1 + t2).real)
 
 
@@ -177,16 +177,19 @@ def gauge_transform(x: Configuration, g1: np.ndarray, g2: np.ndarray) -> Configu
     def transform_connection(c, g):
         ginv = adjoint_values(g)  # unitary
         dzg = geo.del_(g)
-        return g @ c @ ginv - dzg @ ginv
+        return matmul(matmul(g, c), ginv) - matmul(dzg, ginv)
+
+    def conjugate(g_out, f, g_in):
+        return matmul(matmul(g_out, f), adjoint_values(g_in))
 
     return replace(
         x,
         a1=transform_connection(x.a1, g1),
-        p1=g1 @ x.p1 @ adjoint_values(g1),
+        p1=conjugate(g1, x.p1, g1),
         a2=transform_connection(x.a2, g2),
-        p2=g2 @ x.p2 @ adjoint_values(g2),
-        phi=g2 @ x.phi @ adjoint_values(g1),
-        psi=g1 @ x.psi @ adjoint_values(g2),
+        p2=conjugate(g2, x.p2, g2),
+        phi=conjugate(g2, x.phi, g1),
+        psi=conjugate(g1, x.psi, g2),
     )
 
 
@@ -194,15 +197,15 @@ def infinitesimal_gauge(x: Configuration, xi: GaugeDirection) -> TangentData:
     """X_xi(x) = d/dt exp(t xi) . x: (-nabla u, [u, Phi_1], ..., v phi - phi u, u psi - psi v)."""
     def cov_deriv(u, c):
         du = geo.del_(u)
-        return du + c @ u - u @ c
+        return du + matmul(c, u) - matmul(u, c)
 
     return TangentData(
         a1=-cov_deriv(xi.u, x.a1),
-        p1=xi.u @ x.p1 - x.p1 @ xi.u,
+        p1=matmul(xi.u, x.p1) - matmul(x.p1, xi.u),
         a2=-cov_deriv(xi.v, x.a2),
-        p2=xi.v @ x.p2 - x.p2 @ xi.v,
-        f=xi.v @ x.phi - x.phi @ xi.u,
-        g=xi.u @ x.psi - x.psi @ xi.v,
+        p2=matmul(xi.v, x.p2) - matmul(x.p2, xi.v),
+        f=matmul(xi.v, x.phi) - matmul(x.phi, xi.u),
+        g=matmul(xi.u, x.psi) - matmul(x.psi, xi.v),
     )
 
 
@@ -309,4 +312,4 @@ def _expm_skew(values: np.ndarray) -> np.ndarray:
     """Pointwise exponential of a skew-Hermitian field (unitary result)."""
     herm = -1j * values
     w, v = np.linalg.eigh(herm)
-    return (v * np.exp(1j * w)[..., None, :]) @ adjoint_values(v)
+    return matmul(v * np.exp(1j * w)[..., None, :], adjoint_values(v))

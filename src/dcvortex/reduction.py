@@ -15,7 +15,7 @@ Lambda_sigma(p*omega) = 2/sigma and Lambda_sigma(q*omega_P1) = 1.
 The product checks make one array pass over one set of N sample points
 (torus index, P^1 coordinate), drawn in bulk by `random_product_points`
 and shared by both checks: `assemble_F` builds the (N, r, r) block arrays
-of F, `product_residual_blocks` reads them with batched matmuls and adds
+of F, `product_residual_blocks` multiplies them with `geometry.matmul` and adds
 the X part of the curvature from `higgs.residual_terms`, and
 `integrability_residual` weighs the (dbar_F + theta_F)^2 components at the
 same points.  The Hermitian-Einstein constant is the closed form
@@ -32,7 +32,7 @@ import numpy as np
 from . import geometry as geo
 from . import higgs
 from .errors import ConstraintError, DomainError
-from .geometry import P1Disk, TorusGrid
+from .geometry import P1Disk, TorusGrid, matmul
 from .higgs import MetricPair, QuadrupletSpec
 from .vortex import VortexConstants
 
@@ -258,11 +258,11 @@ def product_residual_blocks(assembled: AssembledProduct, lam: complex) -> np.nda
     metric_inv = np.linalg.inv(metric)
 
     def star(x):
-        return metric_inv @ geo.adjoint_values(x) @ metric
+        return matmul(matmul(metric_inv, geo.adjoint_values(x)), metric)
 
     b, p = assembled.dbar_off, assembled.theta_off
     b_star, p_star = star(b), star(p)
-    p1_part = b @ b_star - b_star @ b + p @ p_star - p_star @ p
+    p1_part = matmul(b, b_star) - matmul(b_star, b) + matmul(p, p_star) - matmul(p_star, p)
     zeta = assembled.points[:, None, None]
     p1_part[:, r1:, r1:] += P1LineData(2).curvature_coeff(zeta) * np.eye(q.r2)
     wx, wp = lambda_weights(assembled.sigma)
@@ -332,10 +332,10 @@ def integrability_residual(q: QuadrupletSpec, sigma: float, samples: ProductSamp
     def sup_at(weight, values):
         return geo.sup_norm(weight * _pointwise_sup(values[i, j]))
 
-    sup_psi = max(sup_at(a, geo.dbar(psi)), sup_at(a, theta1 @ psi - psi @ theta2))
-    sup_phi = max(sup_at(b, geo.dbar(phi)), sup_at(b, theta2 @ phi - phi @ theta1))
-    sup_phipsi = sup_at(a * b, phi @ psi)  # |alpha ^ beta| coefficient magnitude
-    sup_psiphi = sup_at(a * b, psi @ phi)
+    sup_psi = max(sup_at(a, geo.dbar(psi)), sup_at(a, matmul(theta1, psi) - matmul(psi, theta2)))
+    sup_phi = max(sup_at(b, geo.dbar(phi)), sup_at(b, matmul(theta2, phi) - matmul(phi, theta1)))
+    sup_phipsi = sup_at(a * b, matmul(phi, psi))  # |alpha ^ beta| coefficient magnitude
+    sup_psiphi = sup_at(a * b, matmul(psi, phi))
     total = max(res.theta1, res.theta2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
     return IntegrabilityReport(total, res.theta1, res.theta2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
 
@@ -435,5 +435,5 @@ def iota_roundtrip(data: InvariantConnectionData, rng=None) -> bool:
     metric_inv = np.linalg.inv(metric)
     for form in (unitary, skew):
         for first, second in (("dz", "dzbar"), ("dzetabar", "dzeta")):
-            pairs.append((form[second], -metric_inv @ geo.adjoint_values(form[first]) @ metric))
+            pairs.append((form[second], -matmul(matmul(metric_inv, geo.adjoint_values(form[first])), metric)))
     return all(np.allclose(got, want, rtol=1e-12, atol=1e-12) for got, want in pairs)

@@ -172,7 +172,7 @@ def _exp_with_inverse(s: np.ndarray):
     w, v = np.linalg.eigh(s)
     ew = np.exp(w)[..., None, :]
     v_dag = geo.adjoint_values(v)
-    return (v * ew) @ v_dag, (v / ew) @ v_dag, w
+    return geo.matmul(v * ew, v_dag), geo.matmul(v / ew, v_dag), w
 
 
 def solve(

@@ -1,5 +1,8 @@
 """Spectral calculus and quadrature checks against independent oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,77 @@ class TestLaplaceIntegrate:
         exact = geo.dbar(geo.del_(f))  # dbar del f is the coefficient of an exact (1,1)-form
         # the integral of g dz^dzbar is -2i <g>
         assert np.abs(-2j * exact.mean(axis=(0, 1))).max() < 1e-13
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_matches_np_matmul(a, b):
+    got = geo.matmul(a, b)
+    want = np.matmul(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+class TestMatmul:
+    """geo.matmul against np.matmul, its ShapeError, and the one-product-path guard."""
+
+    @pytest.mark.parametrize("ro", [1, 2, 3])
+    @pytest.mark.parametrize("ri", [1, 2, 3])
+    @pytest.mark.parametrize("rk", [1, 2, 3])
+    def test_fields(self, ro, ri, rk):
+        rng = np.random.default_rng(100 * ro + 10 * ri + rk)
+        assert_matches_np_matmul(complex_normal(rng, (6, 6, ro, ri)), complex_normal(rng, (6, 6, ri, rk)))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_block_stacks(self, r):
+        # the (N, r, r) block arrays of the product side, r = r1 + r2
+        rng = np.random.default_rng(r)
+        assert_matches_np_matmul(complex_normal(rng, (50, r, r)), complex_normal(rng, (50, r, r)))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_constant_broadcasts_against_field(self, r):
+        rng = np.random.default_rng(r)
+        constant = rng.standard_normal((r, r))
+        field = complex_normal(rng, (6, 6, r, r))
+        assert_matches_np_matmul(constant, field)
+        assert_matches_np_matmul(field, constant)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_adjoint_views(self, r):
+        rng = np.random.default_rng(r)
+        v = complex_normal(rng, (6, 6, r, r))
+        adj = geo.adjoint_values(v)
+        assert not adj.flags.c_contiguous
+        assert_matches_np_matmul(adj, v)
+        assert_matches_np_matmul(v, adj)
+        assert_matches_np_matmul(adj, adj)
+
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((6, 6, 2, 3), (6, 6, 2, 2)),
+        # inner sizes 1 and 2 would broadcast and silently read only b's first row
+        ((6, 6, 2, 1), (6, 6, 2, 2)),
+        ((6, 6, 2, 2), (6, 6, 1, 2)),
+        ((6, 6, 2, 0), (6, 6, 0, 2)),
+        ((2,), (2, 2)),
+    ])
+    def test_inner_size_mismatch_raises(self, shape_a, shape_b):
+        with pytest.raises(ShapeError):
+            geo.matmul(np.ones(shape_a), np.ones(shape_b))
+
+    def test_no_matmul_operator_in_package(self):
+        # one product path: every pointwise matrix product goes through geo.matmul
+        offenders = []
+        for path in sorted(Path(geo.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                uses_operator = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                uses_np_matmul = isinstance(node, ast.Attribute) and node.attr == "matmul" and (
+                    isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                )
+                if uses_operator or uses_np_matmul:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestGrid:
