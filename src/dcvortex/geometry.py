@@ -15,8 +15,15 @@ Conventions fixed here once for the whole package:
   `@`, which treats a stack as many tiny separate products.
 * A (1,1)-form stores its single coefficient g relative to dz^dzbar;
   hence Lambda(g dz^dzbar) = -2i g and its integral is -2i <g>.
-* `del_` and `dbar` are the spectral d/dz and d/dzbar.  On forms,
+* `del_` and `dbar` are the spectral d/dz and d/dzbar, with the Nyquist
+  wavenumber zeroed.  On grids with n <= DENSE_MAX_N each axis derivative
+  is one complex GEMM with a cached n-by-n differentiation matrix, applied
+  to the field minus its first sample along the axis, so a constant field
+  gives exactly 0; larger grids use the FFT.  On forms,
   dbar(u dz) = -(d_zbar u) dz^dzbar and del(v dzbar) = (d_z v) dz^dzbar.
+* Every pointwise eigendecomposition and inverse goes through `eigh(s)`
+  and `inv(m)`.  Rank 1 and 2 are closed form (one Jacobi rotation,
+  adjugate over determinant); only rank >= 3 calls LAPACK.
 * P^1 is covered by two closed unit disks C_z and C_w glued along
   |z| = 1 by w = 1/z.  The Fubini-Study form has z-chart density
   (1/pi)(1+|z|^2)^-2 per unit area, total mass 1, half per chart.
@@ -35,6 +42,10 @@ from .errors import ShapeError
 
 # omega = OMEGA_COEFF * dz^dzbar
 OMEGA_COEFF = 0.5j
+
+# largest grid whose derivatives are dense GEMMs.  Against the FFT, one
+# BLAS thread: 1.7-3x faster at n <= 32, even at n = 64, slower at n = 128
+DENSE_MAX_N = 32
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,21 @@ def _wavenumbers(n: int):
     """2 pi times the FFT frequencies, with the Nyquist wavenumber set to 0."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
     k[n // 2] = 0.0
+    k.flags.writeable = False
     return k
+
+
+@lru_cache(maxsize=None)
+def _half_derivative_matrix(n: int):
+    """The n-by-n matrix of (1/2) d/dx on n periodic samples, Nyquist wavenumber zeroed.
+
+    Column l is the FFT derivative of the l-th unit vector; the exact matrix
+    is real, so the FFT's round-off in the imaginary part is dropped.
+    """
+    columns = np.fft.ifft(1j * _wavenumbers(n)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    d = (0.5 * columns.real).astype(np.complex128)
+    d.flags.writeable = False
+    return d
 
 
 def constant_field(grid: TorusGrid, matrix) -> np.ndarray:
@@ -95,9 +120,20 @@ def _axis_derivative(values: np.ndarray, n: int, axis: int) -> np.ndarray:
     return np.fft.ifft(hat, axis=axis)
 
 
+def _dense_axis_derivative(values: np.ndarray, axis: int) -> np.ndarray:
+    """(1/2) d/dx along axis 0 or 1 as one GEMM, applied to values minus their first sample."""
+    moved = values.swapaxes(0, axis)
+    shifted = np.subtract(moved, moved[:1], order="C")
+    n = shifted.shape[0]
+    out = np.dot(_half_derivative_matrix(n), shifted.reshape(n, -1))
+    return out.reshape(shifted.shape).swapaxes(0, axis)
+
+
 def del_(values: np.ndarray) -> np.ndarray:
     """d/dz = (d_x - i d_y)/2 of a field."""
     n = values.shape[0]
+    if n <= DENSE_MAX_N:
+        return _dense_axis_derivative(values, 0) - 1j * _dense_axis_derivative(values, 1)
     dx = _axis_derivative(values, n, 0)
     dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx - 1j * dy)
@@ -106,6 +142,8 @@ def del_(values: np.ndarray) -> np.ndarray:
 def dbar(values: np.ndarray) -> np.ndarray:
     """d/dzbar = (d_x + i d_y)/2 of a field."""
     n = values.shape[0]
+    if n <= DENSE_MAX_N:
+        return _dense_axis_derivative(values, 0) + 1j * _dense_axis_derivative(values, 1)
     dx = _axis_derivative(values, n, 0)
     dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx + 1j * dy)
@@ -121,6 +159,58 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a[..., :, :1] * b[..., :1, :]
     for j in range(1, inner):
         out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
+def eigh(s: np.ndarray):
+    """(w, v) as np.linalg.eigh gives them for a Hermitian stack: ascending w, eigenvectors in v's columns.
+
+    Rank 1 is its real entry.  Rank 2 takes one stable Jacobi rotation
+    (Golub & Van Loan, Matrix Computations, 4th ed., 8.5.2) of the real
+    matrix [[a, |b|], [|b|, d]] that s is after the phase of its lower
+    entry b is rotated out; a diagonal s gives its diagonal exactly.
+    Rank >= 3 falls back to LAPACK.
+    """
+    if s.shape[-1] == 1:
+        return s[..., 0].real.copy(), np.ones_like(s)
+    if s.shape[-1] > 2:
+        return np.linalg.eigh(s)
+    a, d, b = s[..., 0, 0].real, s[..., 1, 1].real, s[..., 1, 0]
+    c = np.abs(b)
+    off = c > 0
+    phase = np.where(off, b / np.where(off, c, 1.0), 1.0)
+    gap = d - a
+    den = np.abs(gap) + np.hypot(gap, 2.0 * c)
+    t = np.copysign(2.0 * c, gap) / np.where(den > 0, den, 1.0)
+    cs = 1.0 / np.sqrt(1.0 + t * t)
+    sn = t * cs
+    # the rotation takes a to a - t c with eigenvector (cs, -sn phase),
+    # d to d + t c with (sn, cs phase); ascending order swaps them when d < a
+    low, high = a - t * c, d + t * c
+    swap = low > high
+    x = np.where(swap, sn, cs)
+    y = np.where(swap, cs, -sn)
+    w = np.stack((np.minimum(low, high), np.maximum(low, high)), axis=-1)
+    v = np.empty(s.shape, dtype=phase.dtype)
+    v[..., 0, 0] = x
+    v[..., 0, 1] = -y
+    v[..., 1, 0] = y * phase
+    v[..., 1, 1] = x * phase
+    return w, v
+
+
+def inv(m: np.ndarray) -> np.ndarray:
+    """Pointwise inverse of a stack of invertible matrices; rank 2 as adjugate over determinant."""
+    if m.shape[-1] == 1:
+        return 1.0 / m
+    if m.shape[-1] > 2:
+        return np.linalg.inv(m)
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    out /= (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])[..., None, None]
     return out
 
 

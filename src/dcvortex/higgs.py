@@ -133,7 +133,7 @@ def _check_metric(values: np.ndarray, what: str = "metric") -> None:
     herm_defect = geo.sup_norm(values - geo.adjoint_values(values))
     if herm_defect > 1e-12 * max(1.0, geo.sup_norm(values)):
         raise DomainError(f"{what} is not Hermitian (defect {herm_defect:.3e})")
-    eigs = np.linalg.eigvalsh(values)
+    eigs = geo.eigh(values)[0]
     if eigs.min() <= 0:
         raise DomainError(f"{what} is not positive definite (min eig {eigs.min():.3e})")
 
@@ -142,15 +142,8 @@ def expm_hermitian(values: np.ndarray) -> np.ndarray:
     """Pointwise matrix exponential of a Hermitian field."""
     if values.shape[-1] == 1:
         return np.exp(values)
-    w, v = np.linalg.eigh(values)
+    w, v = geo.eigh(values)
     return matmul(v * np.exp(w)[..., None, :], geo.adjoint_values(v))
-
-
-def metric_inverse(values: np.ndarray) -> np.ndarray:
-    """Pointwise inverse of a metric field."""
-    if values.shape[-1] == 1:
-        return 1.0 / values
-    return np.linalg.inv(values)
 
 
 def chern_curvature(h: np.ndarray, hinv: np.ndarray, background_degrees: Sequence[int]) -> np.ndarray:
@@ -229,8 +222,8 @@ def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray, inv1=None,
     checked: callers pass metrics that are positive by construction or
     were validated.
     """
-    inv1 = metric_inverse(h1) if inv1 is None else inv1
-    inv2 = metric_inverse(h2) if inv2 is None else inv2
+    inv1 = geo.inv(h1) if inv1 is None else inv1
+    inv2 = geo.inv(h2) if inv2 is None else inv2
     lam = []
     for theta, h, hinv, degrees in (
         (q.theta1, h1, inv1, q.block_degrees1),

@@ -311,5 +311,5 @@ def random_unitary_gauge(grid: TorusGrid, r: int, rng, amplitude: float = 0.2, m
 def _expm_skew(values: np.ndarray) -> np.ndarray:
     """Pointwise exponential of a skew-Hermitian field (unitary result)."""
     herm = -1j * values
-    w, v = np.linalg.eigh(herm)
+    w, v = geo.eigh(herm)
     return matmul(v * np.exp(1j * w)[..., None, :], adjoint_values(v))

@@ -255,7 +255,7 @@ def product_residual_blocks(assembled: AssembledProduct, lam: complex) -> np.nda
     """
     q, r1 = assembled.q, assembled.q.r1
     metric = assembled.metric
-    metric_inv = np.linalg.inv(metric)
+    metric_inv = geo.inv(metric)
 
     def star(x):
         return matmul(matmul(metric_inv, geo.adjoint_values(x)), metric)
@@ -432,7 +432,7 @@ def iota_roundtrip(data: InvariantConnectionData, rng=None) -> bool:
 
     line2 = P1LineData(2).metric(samples.zeta)[:, None, None]
     metric = _block_matrix(IOTA_POINTS, r1, r2, {(0, 0): np.eye(r1), (1, 1): line2 * np.eye(r2)})
-    metric_inv = np.linalg.inv(metric)
+    metric_inv = geo.inv(metric)
     for form in (unitary, skew):
         for first, second in (("dz", "dzbar"), ("dzetabar", "dzeta")):
             pairs.append((form[second], -matmul(matmul(metric_inv, geo.adjoint_values(form[first])), metric)))

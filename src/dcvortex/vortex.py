@@ -157,19 +157,21 @@ def _renormalize_trace(s1: np.ndarray, s2: np.ndarray, r1: int, r2: int):
 
 
 def _exp_with_inverse(s: np.ndarray):
-    """(exp s, exp(s)^-1 or None, eigenvalues of s) for a Hermitian field s, from one eigendecomposition.
+    """(exp s, exp(s)^-1 or None, eigenvalues of s) for a Hermitian field s, from one `geo.eigh`.
 
     With s = V diag(w) V^dagger pointwise, exp s = V e^w V^dagger (the
     product `higgs.expm_hermitian` forms) and exp(s)^-1 = V diag(1 / e^w)
     V^dagger, so a diagonal s gives exactly the reciprocals; w has shape
-    (n, n, r).  Rank 1 takes no decomposition and returns None for the
-    inverse: `higgs.residual_terms` then forms 1 / h itself and frees it
-    when it returns (formed here, it stayed alive through the rest of the
-    residual and made the rank-1 solve on a 64 x 64 grid 7-11 % slower).
+    (n, n, r).  At rank 2 the decomposition is closed form, one Jacobi
+    rotation per grid point, with no LAPACK call.  Rank 1 takes no
+    decomposition and returns None for the inverse: `higgs.residual_terms`
+    then forms 1 / h itself and frees it when it returns (formed here, it
+    stayed alive through the rest of the residual and made the rank-1
+    solve on a 64 x 64 grid 7-11 % slower).
     """
     if s.shape[-1] == 1:
         return higgs.expm_hermitian(s), None, s[..., 0].real
-    w, v = np.linalg.eigh(s)
+    w, v = geo.eigh(s)
     ew = np.exp(w)[..., None, :]
     v_dag = geo.adjoint_values(v)
     return geo.matmul(v * ew, v_dag), geo.matmul(v / ew, v_dag), w

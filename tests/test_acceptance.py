@@ -102,7 +102,7 @@ def test_criterion_5_solver_convergence(solved_entry):
                          f"({rep.iterations} iterations, {elapsed:.1f}s)")
     assert ok_res
     assert elapsed < 300.0
-    inv1, inv2 = higgs.metric_inverse(h.h1), higgs.metric_inverse(h.h2)
+    inv1, inv2 = geo.inv(h.h1), geo.inv(h.h2)
     _, _, psi_psis, _ = higgs.coupling_terms(q, h.h1, h.h2, inv1, inv2)
     identity_err = abs(float(np.mean(psi_psis[..., 0, 0]).real) - 2 * np.pi * float(c.tau))
     assert report_line("criterion 5b: int |psi|^2_h = 2 pi tau", identity_err, 1e-6)

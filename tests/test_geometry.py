@@ -13,6 +13,10 @@ from dcvortex.errors import ShapeError
 from conftest import fs_density, fs_integrate
 
 
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def stencil_derivative(values, n, axis):
     """4th-order periodic central difference, independent of the FFT path."""
     h = 1.0 / n
@@ -20,11 +24,24 @@ def stencil_derivative(values, n, axis):
     return (r(-2) - 8 * r(-1) + 8 * r(1) - r(2)) / (12 * h)
 
 
+# grid sizes on both sides of DENSE_MAX_N: GEMM derivatives up to 32, FFT at 64
+BOTH_BRANCHES = [8, 16, 32, 64]
+
+
+def band_limited_field(n, r, rng):
+    """Random (n, n, r, r) field of all modes |p|, |q| < n/2, so no Nyquist content."""
+    hat = complex_normal(rng, (n, n, r, r))
+    hat[n // 2] = 0
+    hat[:, n // 2] = 0
+    return np.fft.ifft2(hat, axes=(0, 1))
+
+
 class TestDbar:
     def test_constant_is_killed(self):
-        g = geo.TorusGrid(16)
-        f = geo.constant_field(g, [[2.0 + 1j, 0.5], [0.0, -3.0]])
-        assert geo.sup_norm(geo.dbar(f)) == 0.0
+        for n in BOTH_BRANCHES:
+            f = geo.constant_field(geo.TorusGrid(n), [[2.0 + 1j, 0.5], [0.0, -3.0]])
+            assert geo.sup_norm(geo.dbar(f)) == 0.0, n
+            assert geo.sup_norm(geo.del_(f)) == 0.0, n
 
     def test_single_mode_closed_form(self):
         # dbar exp(2 pi i x) = (pi i) exp(2 pi i x) since dbar = (dx + i dy)/2
@@ -35,12 +52,30 @@ class TestDbar:
 
     @pytest.mark.parametrize("p,q", [(1, 0), (0, 1), (2, -1), (-3, 2)])
     def test_mode_symbols(self, p, q):
-        g = geo.TorusGrid(32)
-        f = geo.mode_field(g, p, q)
-        db = geo.dbar(f)
-        dl = geo.del_(f)
-        assert np.abs(db - np.pi * 1j * (p + 1j * q) * f).max() < 1e-11
-        assert np.abs(dl - np.pi * 1j * (p - 1j * q) * f).max() < 1e-11
+        for n in BOTH_BRANCHES:
+            f = geo.mode_field(geo.TorusGrid(n), p, q)
+            db = geo.dbar(f)
+            dl = geo.del_(f)
+            assert np.abs(db - np.pi * 1j * (p + 1j * q) * f).max() < 1e-11, n
+            assert np.abs(dl - np.pi * 1j * (p - 1j * q) * f).max() < 1e-11, n
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_dense_matches_fft(self, n, r):
+        # below the cut-off the GEMM path must reproduce the FFT path it replaces
+        assert n <= geo.DENSE_MAX_N
+        f = band_limited_field(n, r, np.random.default_rng(n + r))
+        dx, dy = (geo._axis_derivative(f, n, axis) for axis in (0, 1))
+        for got, want in ((geo.dbar(f), 0.5 * (dx + 1j * dy)), (geo.del_(f), 0.5 * (dx - 1j * dy))):
+            assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+    def test_cached_tables_are_read_only(self):
+        # a caller writing into the shared wavenumbers would corrupt every
+        # later derivative on grids of that size
+        with pytest.raises(ValueError):
+            geo.TorusGrid(16).wavenumbers()[1] = 0.0
+        with pytest.raises(ValueError):
+            geo._half_derivative_matrix(16)[0, 1] = 0.0
 
     def test_against_stencil(self):
         g = geo.TorusGrid(64)
@@ -77,10 +112,6 @@ class TestLaplaceIntegrate:
         exact = geo.dbar(geo.del_(f))  # dbar del f is the coefficient of an exact (1,1)-form
         # the integral of g dz^dzbar is -2i <g>
         assert np.abs(-2j * exact.mean(axis=(0, 1))).max() < 1e-13
-
-
-def complex_normal(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def assert_matches_np_matmul(a, b):
@@ -146,6 +177,111 @@ class TestMatmul:
                     isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
                 )
                 if uses_operator or uses_np_matmul:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+
+def hermitian_stack(rng, spectrum_scale, count=200):
+    """(count, 2, 2) Hermitian matrices U diag(w) U^dagger with w uniform in [-scale, scale]."""
+    u, _ = np.linalg.qr(complex_normal(rng, (count, 2, 2)))
+    w = rng.uniform(-spectrum_scale, spectrum_scale, (count, 1, 2))
+    return geo.matmul(u * w, geo.adjoint_values(u))
+
+
+def rank2_cases():
+    rng = np.random.default_rng(7)
+    diag = np.zeros((7, 2, 2), dtype=complex)
+    diag[:, 0, 0] = [0.1, -2.0, 0.0, 3.0, -18.0, 18.0, np.pi]
+    diag[:, 1, 1] = [1 / 3, 4.0, 0.0, 3.0, 18.0, -18.0, -np.e]
+    tiny = np.zeros((4, 2, 2), dtype=complex)
+    tiny[:, 0, 0], tiny[:, 1, 1] = [1.0, 1.0, -2.0, 0.0], [1.0, 2.0, -2.0, 0.0]
+    tiny[:, 0, 1] = 1e-300 * np.exp(1j * np.array([0.3, 2.0, -1.0, np.pi]))
+    tiny[:, 1, 0] = np.conj(tiny[:, 0, 1])
+    theta = np.linspace(-np.pi, np.pi, 9)
+    phases = np.zeros((9, 2, 2), dtype=complex)
+    phases[:, 0, 0], phases[:, 1, 1] = 0.25, -0.75
+    phases[:, 0, 1] = 0.5 * np.exp(1j * theta)
+    phases[:, 1, 0] = np.conj(phases[:, 0, 1])
+    return {
+        "random": hermitian_stack(rng, 2.0),
+        "runaway_spectra": hermitian_stack(rng, 18.0),
+        "diagonal": diag,
+        "identity_multiples": np.array([c * np.eye(2) for c in (0.0, 1.0, -7.5, 18.0)], dtype=complex),
+        "tiny_off_diagonal": tiny,
+        "phases": phases,
+        "grid_field": hermitian_stack(rng, 1.0, 16 * 16).reshape(16, 16, 2, 2),
+    }
+
+
+RANK2_CASES = rank2_cases()
+
+
+class TestEighInv:
+    """geo.eigh and geo.inv against np.linalg, the closed forms at rank 1 and 2."""
+
+    @pytest.mark.parametrize("case", sorted(RANK2_CASES))
+    def test_eigh_rank2(self, case):
+        s = RANK2_CASES[case]
+        tol = 1e-14 * max(1.0, np.abs(s).max())
+        w, v = geo.eigh(s)
+        assert w.shape == s.shape[:-1] and w.dtype == np.float64
+        assert np.abs(w - np.linalg.eigvalsh(s)).max() <= tol
+        assert np.all(w[..., 0] <= w[..., 1])
+        assert np.abs(geo.matmul(geo.adjoint_values(v), v) - np.eye(2)).max() <= 1e-14
+        assert np.abs(geo.matmul(v * w[..., None, :], geo.adjoint_values(v)) - s).max() <= tol
+
+    def test_eigh_diagonal_is_exact(self):
+        # no rotation: the diagonal comes back unrounded, sorted
+        s = RANK2_CASES["diagonal"]
+        w, v = geo.eigh(s)
+        assert np.array_equal(w, np.sort(np.diagonal(s, axis1=-2, axis2=-1).real, axis=-1))
+        assert np.array_equal(np.abs(v), np.abs(np.linalg.eigh(s)[1]))
+
+    def test_eigh_rank1_and_rank3(self):
+        rng = np.random.default_rng(3)
+        s1 = complex_normal(rng, (5, 5, 1, 1)).real + 0j
+        w, v = geo.eigh(s1)
+        assert np.array_equal(w, s1[..., 0].real) and np.array_equal(v, np.ones_like(s1))
+        x = complex_normal(rng, (5, 3, 3))
+        s3 = x + geo.adjoint_values(x)
+        for got, want in zip(geo.eigh(s3), np.linalg.eigh(s3)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["random", "grid_field", "phases"])
+    def test_inv_rank2_of_metrics(self, case):
+        # metrics exp(s) for the Hermitian s above, condition numbers up to e^4
+        h = higgs.expm_hermitian(RANK2_CASES[case])
+        want = np.linalg.inv(h)
+        assert np.abs(geo.inv(h) - want).max() <= 1e-14 * np.abs(want).max() * np.linalg.cond(h).max()
+
+    def test_inv_general_and_real(self):
+        rng = np.random.default_rng(4)
+        m = complex_normal(rng, (100, 2, 2)) + 4 * np.eye(2)
+        assert np.abs(geo.inv(m) - np.linalg.inv(m)).max() <= 1e-14 * np.abs(np.linalg.inv(m)).max()
+        real = np.array([[[1.0, 0.0], [0.0, 0.3]], [[2.0, 1.0], [1.0, 3.0]]])
+        got = geo.inv(real)
+        assert got.dtype == np.float64
+        assert np.abs(got - np.linalg.inv(real)).max() <= 1e-15
+
+    def test_inv_rank1_and_rank3(self):
+        rng = np.random.default_rng(5)
+        m1 = complex_normal(rng, (4, 4, 1, 1))
+        assert np.array_equal(geo.inv(m1), 1.0 / m1)
+        m3 = complex_normal(rng, (4, 4, 3, 3)) + 5 * np.eye(3)
+        assert np.array_equal(geo.inv(m3), np.linalg.inv(m3))
+
+    def test_lapack_only_in_geometry(self):
+        # one eigen/inverse path: np.linalg is reached only through geo.eigh and geo.inv
+        offenders = []
+        for path in sorted(Path(geo.__file__).parent.glob("*.py")):
+            if path.name == "geometry.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                attribute = isinstance(node, ast.Attribute) and node.attr == "linalg"
+                imported = isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "linalg" in name for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                )
+                if attribute or imported:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 

@@ -16,12 +16,12 @@ def degree_from_curvature(F):
 
 
 def curvature(h, degrees):
-    return higgs.chern_curvature(h, higgs.metric_inverse(h), degrees)
+    return higgs.chern_curvature(h, geo.inv(h), degrees)
 
 
 def adjoint(theta, h):
     """theta^dagger_h = h^-1 T^dagger h for theta = T dz."""
-    return higgs.higgs_adjoint(theta, higgs.metric_inverse(h), h)
+    return higgs.higgs_adjoint(theta, geo.inv(h), h)
 
 
 class TestChernCurvature:
@@ -164,7 +164,7 @@ class TestAdjoints:
         fv = rng.standard_normal((g.n, g.n, 1, 2)) + 1j * rng.standard_normal((g.n, g.n, 1, 2))
         h1 = higgs.expm_hermitian(random_hermitian_log(g, (0,), rng))       # f: E2 -> E1, psi-shaped
         h2 = higgs.expm_hermitian(random_hermitian_log(g, (0, 0), rng))
-        inv1, inv2 = higgs.metric_inverse(h1), higgs.metric_inverse(h2)
+        inv1, inv2 = geo.inv(h1), geo.inv(h2)
         fstar = higgs.higgs_adjoint(fv, inv2, h1)
         adj = geo.adjoint_values
         s = rng.standard_normal((g.n, g.n, 2, 1)) + 0j

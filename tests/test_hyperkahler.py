@@ -49,7 +49,7 @@ def configuration_from_solution(q, h):
     def sqrt_and_inverse(m):
         w, v = np.linalg.eigh(m)
         root = (v * np.sqrt(w)[..., None, :]) @ geo.adjoint_values(v)
-        return root, higgs.metric_inverse(root)
+        return root, geo.inv(root)
 
     (g1, g1_inv), (g2, g2_inv) = sqrt_and_inverse(h.h1), sqrt_and_inverse(h.h2)
     return hk.Configuration(

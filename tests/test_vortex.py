@@ -134,7 +134,7 @@ class TestResidual:
         for R, hh in zip(res, (h.h1, h.h2)):
             iR = 1j * R
             lhs = adj(iR)
-            rhs = hh @ iR @ higgs.metric_inverse(hh)
+            rhs = hh @ iR @ geo.inv(hh)
             assert np.abs(lhs - rhs).max() < 1e-7
 
     def test_gauge_covariance_common_scaling(self):
