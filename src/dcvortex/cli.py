@@ -2,7 +2,10 @@
 
 Exit codes: 0 all checks passed, 2 a check failed or the solver did not
 converge (report still written), 1 usage or configuration error.
-DCVORTEX_THREADS caps the BLAS/FFT thread pools (read before numpy loads).
+DCVORTEX_THREADS caps the BLAS/FFT thread pools.  It takes effect only if
+numpy is first imported after this module starts, as in the dcvortex script
+and `python -m dcvortex.cli`; a program that imports numpy before this
+module must set OPENBLAS_NUM_THREADS (or OMP_/MKL_NUM_THREADS) itself.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Run configuration: flat INI sections, exact rationals for the constants.
 
-Exactly one of sigma / tau must be given.  Field specifications accept
+Exactly one of sigma / tau must be given.  A section or key not listed in
+SECTION_KEYS is an error, so a misspelled name cannot fall back to a
+default unnoticed.  Field specifications accept
 
     zero
     constant <complex>          broadcast scalar (diagonal for square shapes)
@@ -28,6 +30,20 @@ from .vortex import SolveOptions, VortexConstants, constants_from_sigma, constan
 
 class ConfigError(ValueError):
     """Malformed run configuration; the message names the section/key."""
+
+
+# every section and key parse_config reads
+SECTION_KEYS = {
+    "grid": ("n", "n_radial", "n_angular"),
+    "bundles": ("degrees1", "degrees2"),
+    "constants": ("sigma", "tau"),
+    "fields": ("theta1", "theta2", "phi", "psi"),
+    "solver": ("step", "max_iter", "target_residual", "patience"),
+    "tolerances": ("constraint", "check"),
+    "reduction": ("n_points",),
+    "hk": ("draws",),
+    "stability": ("catalog", "subobjects"),
+}
 
 
 @dataclass
@@ -149,6 +165,20 @@ def _at_least_one(value: int, where: str) -> int:
     return value
 
 
+def _reject_unknown_names(parser: configparser.ConfigParser) -> None:
+    """ConfigError naming the first section or key that SECTION_KEYS does not list."""
+    defaults = list(parser.defaults())
+    if defaults:
+        raise ConfigError(f"[{parser.default_section}] {defaults[0]}: unknown key (no defaults section is read)")
+    for section in parser.sections():
+        if section not in SECTION_KEYS:
+            raise ConfigError(f"[{section}]: unknown section (expected one of {', '.join(SECTION_KEYS)})")
+        known = SECTION_KEYS[section]
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"[{section}] {key}: unknown key (expected one of {', '.join(known)})")
+
+
 def parse_config(path) -> RunConfig:
     text = Path(path).read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -156,6 +186,7 @@ def parse_config(path) -> RunConfig:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    _reject_unknown_names(parser)
 
     cfg = RunConfig(raw_text=text)
 

@@ -19,7 +19,10 @@ Conventions fixed here once for the whole package:
   wavenumber zeroed.  On grids with n <= DENSE_MAX_N each axis derivative
   is one complex GEMM with a cached n-by-n differentiation matrix, applied
   to the field minus its first sample along the axis, so a constant field
-  gives exactly 0; larger grids use the FFT.  On forms,
+  gives exactly 0; larger grids use the FFT, except that a field equal to
+  its first sample at every grid point returns exact zeros without any
+  transform.  So on both branches, for every even n, the derivative of a
+  constant field is exactly 0.  On forms,
   dbar(u dz) = -(d_zbar u) dz^dzbar and del(v dzbar) = (d_z v) dz^dzbar.
 * Every pointwise eigendecomposition and inverse goes through `eigh(s)`
   and `inv(m)`.  Rank 1 and 2 are closed form (one Jacobi rotation,
@@ -129,21 +132,36 @@ def _dense_axis_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(shifted.shape).swapaxes(0, axis)
 
 
+def _is_constant(values: np.ndarray) -> bool:
+    """True when every grid sample of the field equals the first one."""
+    return bool((values == values[:1, :1]).all())
+
+
 def del_(values: np.ndarray) -> np.ndarray:
-    """d/dz = (d_x - i d_y)/2 of a field."""
+    """d/dz = (d_x - i d_y)/2 of a field; exactly 0 for a constant field.
+
+    Above DENSE_MAX_N a constant field returns zeros without transforms.
+    """
     n = values.shape[0]
     if n <= DENSE_MAX_N:
         return _dense_axis_derivative(values, 0) - 1j * _dense_axis_derivative(values, 1)
+    if _is_constant(values):
+        return np.zeros(values.shape, dtype=np.complex128)
     dx = _axis_derivative(values, n, 0)
     dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx - 1j * dy)
 
 
 def dbar(values: np.ndarray) -> np.ndarray:
-    """d/dzbar = (d_x + i d_y)/2 of a field."""
+    """d/dzbar = (d_x + i d_y)/2 of a field; exactly 0 for a constant field.
+
+    Above DENSE_MAX_N a constant field returns zeros without transforms.
+    """
     n = values.shape[0]
     if n <= DENSE_MAX_N:
         return _dense_axis_derivative(values, 0) + 1j * _dense_axis_derivative(values, 1)
+    if _is_constant(values):
+        return np.zeros(values.shape, dtype=np.complex128)
     dx = _axis_derivative(values, n, 0)
     dy = _axis_derivative(values, n, 1)
     return 0.5 * (dx + 1j * dy)

@@ -210,6 +210,11 @@ class TestConfigHandling:
         ("solve", "[fields]\npsi = mode 1.5 0 1"),
         ("solve", "[fields]\npsi = constant 1\ntheta1 = mode 0 x 1"),
         ("stability", "[stability]\nsubobjects = 0 1 0 x"),
+        # a misspelled name would run at the default, or with psi = 0 and a wrong "unstable?" diagnosis
+        ("solve", "[solver]\ntarget_residul = 1e-12"),
+        ("solve", "[fields]\npis = constant 1"),
+        ("solve", "[solvr]"),
+        ("solve", "[DEFAULT]\ntarget_residual = 1e-12"),
     ])
     def test_empty_sample_exit_1(self, tmp_path, capsys, command, section):
         # an empty sample would pass its checks vacuously; a bad n fails inside the numerics;
@@ -251,14 +256,12 @@ class TestConfigHandling:
             assert not (tmp_path / "out").exists()
 
     def test_shipped_configs_parse(self):
-        for name in (
-            "solve_psi_stable.ini",
-            "stability_phi_unstable.ini",
-            "verify_reduction_psi.ini",
-            "verify_hk.ini",
-        ):
-            cfg = parse_config(CONFIGS / name)
-            assert cfg.constants() is not None
+        # every shipped config uses only the sections and keys parse_config reads
+        for directory in (CONFIGS, CONFIGS.parent / "bench" / "configs"):
+            paths = sorted(directory.glob("*.ini"))
+            assert paths, directory
+            for path in paths:
+                assert parse_config(path).constants() is not None
 
 
 class TestReports:

@@ -36,12 +36,43 @@ def band_limited_field(n, r, rng):
     return np.fft.ifft2(hat, axes=(0, 1))
 
 
+def fft_dz_dzbar(f):
+    """(d/dz, d/dzbar) of f through the FFT axis derivatives, with no constant-field shortcut."""
+    n = f.shape[0]
+    dx, dy = (geo._axis_derivative(f, n, axis) for axis in (0, 1))
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+
+CONSTANT = [[2.0 + 1j, 0.5], [0.0, -3.0]]
+
+
 class TestDbar:
     def test_constant_is_killed(self):
-        for n in BOTH_BRANCHES:
-            f = geo.constant_field(geo.TorusGrid(n), [[2.0 + 1j, 0.5], [0.0, -3.0]])
+        # 34 and 100 have odd factors, where the transforms leave ~1e-14 of round-off
+        for n in BOTH_BRANCHES + [34, 100, 128]:
+            f = geo.constant_field(geo.TorusGrid(n), CONSTANT)
             assert geo.sup_norm(geo.dbar(f)) == 0.0, n
             assert geo.sup_norm(geo.del_(f)) == 0.0, n
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_constant_shortcut_equals_transforms(self, n):
+        # at powers of two the transforms already give exact zeros (some of them -0.0)
+        f = geo.constant_field(geo.TorusGrid(n), CONSTANT)
+        want_del, want_dbar = fft_dz_dzbar(f)
+        assert np.array_equal(geo.del_(f), want_del)
+        assert np.array_equal(geo.dbar(f), want_dbar)
+
+    @pytest.mark.parametrize("n", [34, 64])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_one_sample_off_constant_is_transformed(self, n, where):
+        # the first sample is the reference; a change outside row 0 must be seen too
+        f = geo.constant_field(geo.TorusGrid(n), CONSTANT)
+        i, j = (0, 0) if where == "first" else (n - 1, n // 2)
+        f[i, j, 1, 0] += 1e-3
+        want_del, want_dbar = fft_dz_dzbar(f)
+        assert geo.sup_norm(want_dbar) > 1e-5
+        assert np.array_equal(geo.del_(f), want_del)
+        assert np.array_equal(geo.dbar(f), want_dbar)
 
     def test_single_mode_closed_form(self):
         # dbar exp(2 pi i x) = (pi i) exp(2 pi i x) since dbar = (dx + i dy)/2
@@ -65,8 +96,8 @@ class TestDbar:
         # below the cut-off the GEMM path must reproduce the FFT path it replaces
         assert n <= geo.DENSE_MAX_N
         f = band_limited_field(n, r, np.random.default_rng(n + r))
-        dx, dy = (geo._axis_derivative(f, n, axis) for axis in (0, 1))
-        for got, want in ((geo.dbar(f), 0.5 * (dx + 1j * dy)), (geo.del_(f), 0.5 * (dx - 1j * dy))):
+        want_del, want_dbar = fft_dz_dzbar(f)
+        for got, want in ((geo.dbar(f), want_dbar), (geo.del_(f), want_del)):
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
     def test_cached_tables_are_read_only(self):
