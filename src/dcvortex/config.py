@@ -1,13 +1,17 @@
-"""Run configuration: flat INI sections, exact rationals for the constants.
+"""Run configuration: flat INI sections, exact rationals for the constants and fields.
 
 Exactly one of sigma / tau must be given.  A section or key not listed in
 SECTION_KEYS is an error, so a misspelled name cannot fall back to a
 default unnoticed.  Field specifications accept
 
     zero
-    constant <complex>          broadcast scalar (diagonal for square shapes)
-    matrix <json rows>          entries as strings, e.g. [["0","1"],["0","0"]]
-    mode <p> <q> <complex>      amplitude * exp(2 pi i (p x + q y)) * ones
+    constant <entry>            broadcast scalar (diagonal for square shapes)
+    matrix <json rows>          entries as strings, e.g. [["0","1/3"],["0","0"]]
+
+and are read exactly into Gaussian-rational matrices.  An entry is a or
+a+bj (also a-bj, bj, j), where a and b are each an integer, a decimal
+(exponent allowed) or p/q.  An entry whose float64 value is not finite
+(nan, inf, 1e400) is an error.
 """
 
 from __future__ import annotations
@@ -21,10 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import geometry as geo
-from . import higgs
 from .geometry import TorusGrid
-from .higgs import QuadrupletSpec
+from .higgs import ExactMatrix, QuadrupletSpec
 from .vortex import SolveOptions, VortexConstants, constants_from_sigma, constants_from_tau
 
 
@@ -39,7 +41,7 @@ SECTION_KEYS = {
     "constants": ("sigma", "tau"),
     "fields": ("theta1", "theta2", "phi", "psi"),
     "solver": ("step", "max_iter", "target_residual", "patience"),
-    "tolerances": ("constraint", "check"),
+    "tolerances": ("check",),
     "reduction": ("n_points",),
     "hk": ("draws",),
     "stability": ("catalog", "subobjects"),
@@ -57,7 +59,6 @@ class RunConfig:
     tau: Optional[Fraction] = None
     field_specs: dict = field(default_factory=dict)
     solver: SolveOptions = field(default_factory=SolveOptions)
-    constraint_tol: float = higgs.DEFAULT_CONSTRAINT_TOL
     check_tol: Optional[float] = None
     n_product_points: int = 200
     hk_draws: int = 100
@@ -76,14 +77,12 @@ class RunConfig:
         return TorusGrid(self.n)
 
     def quadruplet(self) -> QuadrupletSpec:
-        grid = self.grid()
         r1, r2 = len(self.block_degrees1), len(self.block_degrees2)
         fields = {
-            key: build_field(grid, key, self.field_specs.get(key, "zero"), ro, ri)
+            key: build_field(key, self.field_specs.get(key, "zero"), ro, ri)
             for key, ro, ri in (("theta1", r1, r1), ("theta2", r2, r2), ("phi", r2, r1), ("psi", r1, r2))
         }
-        q = QuadrupletSpec(grid, self.block_degrees1, self.block_degrees2, **fields, tol=self.constraint_tol)
-        return q.validate()
+        return QuadrupletSpec(self.grid(), self.block_degrees1, self.block_degrees2, **fields).validate()
 
 
 def _parse_number(text: str, kind, where: str):
@@ -101,42 +100,56 @@ def _get_number(parser: configparser.ConfigParser, section: str, key: str, kind,
     return _parse_number(parser.get(section, key), kind, f"[{section}] {key}")
 
 
-def _parse_complex(token: str, where: str) -> complex:
-    value = _parse_number(token.replace(" ", ""), complex, where)
-    if not np.isfinite(value):
-        raise ConfigError(f"{where}: non-finite value {token!r}")
-    return value
+def _exact_part(text: str, token: str, where: str) -> Fraction:
+    """One real part of an entry, exactly; a ConfigError unless its float64 value is finite."""
+    try:
+        value = Fraction(text)
+        float(value)
+        return value
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: non-finite value {token!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        what = "non-finite value" if text.lstrip("+-") in ("nan", "inf", "infinity") else "cannot parse complex"
+        raise ConfigError(f"{where}: {what} {token!r} (a or a+bj; a, b integer, decimal or p/q)") from exc
 
 
-def build_field(grid: TorusGrid, key: str, spec: str, ro: int, ri: int):
+def _parse_entry(token: str, where: str) -> tuple[Fraction, Fraction]:
+    """token as exact (real, imaginary) parts."""
+    text = token.replace(" ", "").lower()
+    real, imag = text, "0"
+    if text.endswith("j"):
+        body = text[:-1]
+        # the imaginary part starts at the last sign that is not an exponent's
+        cut = max((k for k in range(1, len(body)) if body[k] in "+-" and body[k - 1] != "e"), default=0)
+        real, imag = body[:cut] or "0", body[cut:]
+        if imag in ("", "+", "-"):
+            imag += "1"
+    return _exact_part(real, token, where), _exact_part(imag, token, where)
+
+
+def build_field(key: str, spec: str, ro: int, ri: int) -> ExactMatrix:
     parts = spec.split()
     kind = parts[0] if parts else "zero"
     where = f"[fields] {key} = {spec!r}"
     if kind == "zero":
-        return geo.zero_field(grid, ro, ri)
-    if kind == "constant":
+        rows = [["0"] * ri] * ro
+    elif kind == "constant":
         if len(parts) != 2:
             raise ConfigError(f"{where}: constant needs one value")
-        c = _parse_complex(parts[1], where)
-        m = c * (np.eye(ro, ri) if ro == ri else np.ones((ro, ri)))
-        return geo.constant_field(grid, m)
-    if kind == "matrix":
+        rows = [[parts[1] if ro != ri or i == j else "0" for j in range(ri)] for i in range(ro)]
+    elif kind == "matrix":
         try:
             rows = json.loads(" ".join(parts[1:]))
-            m = np.array([[complex(str(e).replace(" ", "")) for e in row] for row in rows])
-        except (json.JSONDecodeError, ValueError) as exc:
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"{where}: bad matrix literal") from exc
-        if m.shape != (ro, ri):
-            raise ConfigError(f"{where}: matrix must be {ro}x{ri}, got {m.shape}")
-        return geo.constant_field(grid, m)
-    if kind == "mode":
-        if len(parts) != 4:
-            raise ConfigError(f"{where}: mode needs p q amplitude")
-        p, q = (_parse_number(t, int, where) for t in parts[1:3])
-        amp = _parse_complex(parts[3], where)
-        m = amp * (np.eye(ro, ri) if ro == ri else np.ones((ro, ri)))
-        return geo.mode_field(grid, p, q, m)
-    raise ConfigError(f"{where}: unknown field kind {kind!r}")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ConfigError(f"{where}: bad matrix literal, expected a JSON list of rows")
+        if len(rows) != ro or any(len(row) != ri for row in rows):
+            raise ConfigError(f"{where}: matrix must be {ro}x{ri}, got rows of lengths {[len(row) for row in rows]}")
+    else:
+        raise ConfigError(f"{where}: unknown field kind {kind!r} (expected zero, constant or matrix)")
+    entries = [[_parse_entry(str(e), where) for e in row] for row in rows]
+    return ExactMatrix(*(np.array([[e[k] for e in row] for row in entries], dtype=object) for k in (0, 1)))
 
 
 def _parse_rational(text: str, where: str) -> Fraction:
@@ -232,9 +245,6 @@ def parse_config(path) -> RunConfig:
         s.patience = _at_least_one(_get_number(parser, "solver", "patience", int, s.patience), "[solver] patience")
 
     if parser.has_section("tolerances"):
-        cfg.constraint_tol = _positive(
-            _get_number(parser, "tolerances", "constraint", float, cfg.constraint_tol), "[tolerances] constraint"
-        )
         if parser.has_option("tolerances", "check"):
             cfg.check_tol = _positive(_get_number(parser, "tolerances", "check", float), "[tolerances] check")
 

@@ -61,10 +61,6 @@ class TorusGrid:
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid resolution must be even and >= 4, got {self.n}")
 
-    def coordinates(self):
-        x = np.arange(self.n) / self.n
-        return np.meshgrid(x, x, indexing="ij")
-
     def wavenumbers(self):
         return _wavenumbers(self.n)
 
@@ -98,18 +94,6 @@ def constant_field(grid: TorusGrid, matrix) -> np.ndarray:
 
 def identity_field(grid: TorusGrid, rank: int) -> np.ndarray:
     return constant_field(grid, np.eye(rank))
-
-
-def zero_field(grid: TorusGrid, rank_out: int, rank_in: int) -> np.ndarray:
-    return np.zeros((grid.n, grid.n, rank_out, rank_in), dtype=np.complex128)
-
-
-def mode_field(grid: TorusGrid, p: int, q: int, matrix=1.0) -> np.ndarray:
-    """matrix * exp(2 pi i (p x + q y)) sampled on the grid."""
-    x, y = grid.coordinates()
-    phase = np.exp(2.0j * np.pi * (p * x + q * y))
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
-    return phase[..., None, None] * m
 
 
 # -- spectral derivatives ---------------------------------------------------

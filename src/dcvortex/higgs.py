@@ -1,4 +1,4 @@
-"""Higgs quadruplets on the torus: metrics, curvature, adjoints, constraints.
+"""Higgs quadruplets on the torus: exact constant data, metrics, curvature, adjoints.
 
 Bundles are direct sums of line bundles.  Degree d is realized by a fixed
 background unitary connection of constant curvature -2 pi i d omega, so
@@ -6,6 +6,14 @@ every dynamical field (metric perturbations, Higgs fields, the coupling
 morphisms) is an honest periodic matrix field.  Matrix entries may only
 connect summands of equal degree; on that subalgebra all covariant
 derivatives reduce to the plain spectral dbar / del of `geometry`.
+
+The only holomorphic periodic blocks between equal-degree summands are
+constants, so a `QuadrupletSpec` holds each of theta1, theta2, phi, psi as
+one exact Gaussian-rational matrix (`ExactMatrix`).  The degree masks,
+phi psi = psi phi = 0 and the twists theta2 phi = phi theta1,
+theta1 psi = psi theta2 are exact equalities on those matrices, with no
+tolerance.  The float fields the numerics read are formed once, when the
+spec is built.
 
 Fields are complex (n, n, r_out, r_in) arrays; the slot name fixes the
 form type (theta_i are (1,0)-form coefficients, phi and psi functions,
@@ -16,7 +24,9 @@ built only from the named layers `chern_curvature`, `higgs_adjoint`,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,8 +34,6 @@ import numpy as np
 from . import geometry as geo
 from .errors import ConstraintError, DomainError, ShapeError
 from .geometry import TorusGrid, matmul
-
-DEFAULT_CONSTRAINT_TOL = 1e-9
 
 
 def degree_mask(degrees_out: Sequence[int], degrees_in: Sequence[int]) -> np.ndarray:
@@ -35,83 +43,96 @@ def degree_mask(degrees_out: Sequence[int], degrees_in: Sequence[int]) -> np.nda
     return do[:, None] == di[None, :]
 
 
-def _check_mask(values: np.ndarray, mask: np.ndarray, what: str, tol: float):
-    off = np.abs(values[..., ~mask])
-    if off.size and off.max() > tol:
-        raise ConstraintError(
-            f"{what}: entries connect summands of different degree (sup {off.max():.3e})"
-        )
+class ExactMatrix(NamedTuple):
+    """A Gaussian-rational matrix: real and imaginary parts as 2-D object arrays of Fraction."""
+
+    re: np.ndarray
+    im: np.ndarray
+
+    def times(self, other: ExactMatrix) -> ExactMatrix:
+        """The exact product self other."""
+        re = matmul(self.re, other.re) - matmul(self.im, other.im)
+        return ExactMatrix(re, matmul(self.re, other.im) + matmul(self.im, other.re))
+
+    def minus(self, other: ExactMatrix) -> ExactMatrix:
+        return ExactMatrix(self.re - other.re, self.im - other.im)
+
+    def support(self) -> np.ndarray:
+        """Boolean matrix of the nonzero entries."""
+        return (self.re != 0) | (self.im != 0)
+
+    def values(self) -> np.ndarray:
+        """The complex128 matrix, each part rounded once."""
+        return self.re.astype(np.float64) + 1j * self.im.astype(np.float64)
 
 
-@dataclass
+def _gaussian(x, what: str) -> tuple[Fraction, Fraction]:
+    """A number as exact (real, imaginary) Fractions; a float is taken at its exact binary value."""
+    parts = (x, 0) if isinstance(x, numbers.Rational) else (complex(x).real, complex(x).imag)
+    try:
+        exact = Fraction(parts[0]), Fraction(parts[1])
+        float(exact[0]), float(exact[1])  # OverflowError past the float64 range
+    except (ValueError, OverflowError) as exc:  # also NaN and inf
+        raise ConstraintError(f"{what} has a non-finite entry {x!r}") from exc
+    return exact
+
+
+def _exact(value, what: str) -> ExactMatrix:
+    """value, an ExactMatrix or a matrix of ints, Fractions, floats or complex numbers, as an ExactMatrix."""
+    if isinstance(value, ExactMatrix):
+        return value
+    entries = np.asarray(value, dtype=object)
+    if entries.ndim != 2:
+        raise ShapeError(f"{what} must be one constant matrix, got an array of shape {entries.shape}")
+    return ExactMatrix(*np.frompyfunc(lambda x: _gaussian(x, what), 1, 2)(entries))
+
+
+class ExactFields(NamedTuple):
+    theta1: ExactMatrix
+    theta2: ExactMatrix
+    phi: ExactMatrix
+    psi: ExactMatrix
+
+
 class QuadrupletSpec:
     """Concrete Higgs quadruplet: two bundles, two Higgs fields, two couplings.
 
     block_degrees fix the line-bundle summands (rank = length, degree = sum);
     theta_i are the dz coefficients of the Higgs fields, phi: E1 -> E2
-    and psi: E2 -> E1 are functions; all four are (n, n, r_out, r_in) arrays.
+    and psi: E2 -> E1 are functions.  Each is given as one constant matrix,
+    an ExactMatrix or a matrix of ints, Fractions, floats or complex numbers
+    taken exactly (ConstraintError if an entry is NaN, infinite or past the
+    float64 range), and kept in `exact`.  The attributes theta1, theta2,
+    phi, psi are its (n, n, r_out, r_in) complex128 arrays, formed here once.
     """
 
-    grid: TorusGrid
-    block_degrees1: tuple[int, ...]
-    block_degrees2: tuple[int, ...]
-    theta1: np.ndarray
-    theta2: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-    tol: float = DEFAULT_CONSTRAINT_TOL
-
-    @property
-    def r1(self) -> int:
-        return len(self.block_degrees1)
-
-    @property
-    def r2(self) -> int:
-        return len(self.block_degrees2)
-
-    @property
-    def d1(self) -> int:
-        return int(sum(self.block_degrees1))
-
-    @property
-    def d2(self) -> int:
-        return int(sum(self.block_degrees2))
-
-    def masks(self):
-        m1 = degree_mask(self.block_degrees1, self.block_degrees1)
-        m2 = degree_mask(self.block_degrees2, self.block_degrees2)
-        mphi = degree_mask(self.block_degrees2, self.block_degrees1)
-        mpsi = degree_mask(self.block_degrees1, self.block_degrees2)
-        return m1, m2, mphi, mpsi
+    def __init__(self, grid: TorusGrid, block_degrees1, block_degrees2, theta1, theta2, phi, psi):
+        self.grid = grid
+        self.block_degrees1 = tuple(block_degrees1)
+        self.block_degrees2 = tuple(block_degrees2)
+        self.r1, self.r2 = len(self.block_degrees1), len(self.block_degrees2)
+        self.d1, self.d2 = int(sum(self.block_degrees1)), int(sum(self.block_degrees2))
+        given = (theta1, theta2, phi, psi)
+        self.exact = ExactFields(*(_exact(v, name) for v, name in zip(given, ExactFields._fields)))
+        self.theta1, self.theta2, self.phi, self.psi = (geo.constant_field(grid, m.values()) for m in self.exact)
 
     def validate(self):
-        """Check shapes, finiteness, block support, phi psi = psi phi = 0 and holomorphy."""
-        n, r1, r2 = self.grid.n, self.r1, self.r2
-        for f, ro, ri, what in (
-            (self.theta1, r1, r1, "theta1"),
-            (self.theta2, r2, r2, "theta2"),
-            (self.phi, r2, r1, "phi"),
-            (self.psi, r1, r2, "psi"),
-        ):
-            if f.shape != (n, n, ro, ri):
-                raise ShapeError(f"{what} must have shape {(n, n, ro, ri)}, got {f.shape}")
-            if not np.isfinite(f).all():
-                raise ConstraintError(f"{what} has non-finite values")
-        m1, m2, mphi, mpsi = self.masks()
-        _check_mask(self.theta1, m1, "theta1", self.tol)
-        _check_mask(self.theta2, m2, "theta2", self.tol)
-        _check_mask(self.phi, mphi, "phi", self.tol)
-        _check_mask(self.psi, mpsi, "psi", self.tol)
-        comp1 = geo.sup_norm(matmul(self.phi, self.psi))
-        comp2 = geo.sup_norm(matmul(self.psi, self.phi))
-        if max(comp1, comp2) > self.tol:
-            raise ConstraintError(
-                f"phi o psi / psi o phi must vanish (sup {max(comp1, comp2):.3e})"
-            )
-        res = holomorphy_residuals(self)
-        worst = max(res)
-        if worst > self.tol:
-            raise ConstraintError(f"holomorphy residuals too large: {res}")
+        """Check shapes, block support, phi psi = psi phi = 0 and the twists, all exactly."""
+        d1, d2 = self.block_degrees1, self.block_degrees2
+        masks = degree_mask(d1, d1), degree_mask(d2, d2), degree_mask(d2, d1), degree_mask(d1, d2)
+        for (what, m), mask in zip(self.exact._asdict().items(), masks):
+            if m.re.shape != mask.shape:
+                raise ShapeError(f"{what} must be a {mask.shape[0]}x{mask.shape[1]} matrix, got {m.re.shape}")
+            if (m.support() & ~mask).any():
+                raise ConstraintError(f"{what}: entries connect summands of different degree")
+        e = self.exact
+        if e.phi.times(e.psi).support().any() or e.psi.times(e.phi).support().any():
+            raise ConstraintError("phi o psi / psi o phi must vanish")
+        twist = holomorphy_residuals(self)
+        if twist.phi.support().any():
+            raise ConstraintError("phi does not intertwine the Higgs fields: theta2 phi != phi theta1")
+        if twist.psi.support().any():
+            raise ConstraintError("psi does not intertwine the Higgs fields: theta1 psi != psi theta2")
         return self
 
 
@@ -176,40 +197,24 @@ def bracket_theta(t: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class HolomorphyResiduals(NamedTuple):
-    theta1: float
-    theta2: float
-    phi: float
-    psi: float
+    """The exact twist defects theta2 phi - phi theta1 and theta1 psi - psi theta2."""
+
+    phi: ExactMatrix
+    psi: ExactMatrix
 
 
 def holomorphy_residuals(q: QuadrupletSpec) -> HolomorphyResiduals:
-    """Sup norms of the four holomorphy constraints of a Higgs quadruplet.
+    """The theta-intertwining defects of the two couplings, exactly.
 
-    For the morphisms the (0,1) part (dbar f) and the (1,0) part
-    (theta-intertwining defect) must vanish separately; the reported
-    residual is the larger of the two.  The dbar parts include the
-    Nyquist-mode content that the spectral dbar cannot see.
+    A constant field has dbar = 0, so the theta_i are holomorphic and the
+    (0,1) parts of the coupling constraints vanish by construction; what
+    is left of holomorphy is the (1,0) part, zero iff the twists hold.
     """
-    r_t1 = _dbar_defect(q.theta1)
-    r_t2 = _dbar_defect(q.theta2)
-    dbar_phi = _dbar_defect(q.phi)
-    twist_phi = geo.sup_norm(matmul(q.theta2, q.phi) - matmul(q.phi, q.theta1))
-    dbar_psi = _dbar_defect(q.psi)
-    twist_psi = geo.sup_norm(matmul(q.theta1, q.psi) - matmul(q.psi, q.theta2))
-    return HolomorphyResiduals(r_t1, r_t2, max(dbar_phi, twist_phi), max(dbar_psi, twist_psi))
-
-
-def _dbar_defect(f: np.ndarray) -> float:
-    """sup |dbar f|, or the size of dbar on f's Nyquist modes if that is larger.
-
-    The spectral derivatives zero the Nyquist wavenumber pi n, so a grid-scale
-    oscillation such as (-1)^i has dbar = 0 on the grid; in the continuum a
-    Nyquist mode of amplitude a has |d_zbar| = pi n a / 2.
-    """
-    n = f.shape[0]
-    hat = np.fft.fft2(f, axes=(0, 1)) / n**2
-    nyquist = max(np.abs(hat[n // 2]).max(), np.abs(hat[:, n // 2]).max())
-    return max(geo.sup_norm(geo.dbar(f)), 0.5 * np.pi * n * float(nyquist))
+    e = q.exact
+    return HolomorphyResiduals(
+        e.theta2.times(e.phi).minus(e.phi.times(e.theta1)),
+        e.theta1.times(e.psi).minus(e.psi.times(e.theta2)),
+    )
 
 
 def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray, inv1=None, inv2=None):

@@ -306,8 +306,6 @@ def he_residual_product(assembled: AssembledProduct, c: VortexConstants) -> HEPr
 @dataclass
 class IntegrabilityReport:
     total: float
-    theta1: float
-    theta2: float
     psi_block: float
     phi_block: float
     phi_psi: float
@@ -317,12 +315,13 @@ class IntegrabilityReport:
 def integrability_residual(q: QuadrupletSpec, sigma: float, samples: ProductSamples) -> IntegrabilityReport:
     """Pointwise (dbar_F + theta_F)^2 components at the product sample points.
 
-    Zero iff the four defining conditions of the quadruplet hold;
-    the phi psi / psi phi products ride alpha^beta and beta^alpha, which are
-    nondegenerate, so breaking phi o psi = 0 shows up at full strength.
+    Zero iff the defining conditions of the quadruplet hold.  The fields are
+    constant, so their dbar parts vanish identically and what is left are
+    the twists and the compositions; the phi psi / psi phi products ride
+    alpha^beta and beta^alpha, which are nondegenerate, so breaking
+    phi o psi = 0 shows up at full strength.
     """
     forms = calibrate_alpha_beta(sigma)
-    res = higgs.holomorphy_residuals(q)
     psi, phi = q.psi, q.phi
     theta1, theta2 = q.theta1, q.theta2
 
@@ -332,12 +331,12 @@ def integrability_residual(q: QuadrupletSpec, sigma: float, samples: ProductSamp
     def sup_at(weight, values):
         return geo.sup_norm(weight * _pointwise_sup(values[i, j]))
 
-    sup_psi = max(sup_at(a, geo.dbar(psi)), sup_at(a, matmul(theta1, psi) - matmul(psi, theta2)))
-    sup_phi = max(sup_at(b, geo.dbar(phi)), sup_at(b, matmul(theta2, phi) - matmul(phi, theta1)))
+    sup_psi = sup_at(a, matmul(theta1, psi) - matmul(psi, theta2))
+    sup_phi = sup_at(b, matmul(theta2, phi) - matmul(phi, theta1))
     sup_phipsi = sup_at(a * b, matmul(phi, psi))  # |alpha ^ beta| coefficient magnitude
     sup_psiphi = sup_at(a * b, matmul(psi, phi))
-    total = max(res.theta1, res.theta2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
-    return IntegrabilityReport(total, res.theta1, res.theta2, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
+    total = max(sup_psi, sup_phi, sup_phipsi, sup_psiphi)
+    return IntegrabilityReport(total, sup_psi, sup_phi, sup_phipsi, sup_psiphi)
 
 
 # -- invariant connection round trip --------------------------------------------

@@ -3,7 +3,9 @@
 Everything here is fractions.Fraction; floats are rejected because the
 verdicts are strict-inequality decisions.  Sub-object search is restricted
 to coordinate (block) sub-bundles plus user-supplied invariants, so every
-verdict is "relative to catalog".  Stable means strictly negative
+verdict is "relative to catalog".  Block support is exact: an entry of the
+quadruplet's Gaussian-rational matrices is in the support iff it is
+nonzero, with no tolerance.  Stable means strictly negative
 comparison on every entry; semistable uses the weak inequality.
 """
 
@@ -151,21 +153,13 @@ def _subsets(indices: range):
     return chain.from_iterable(combinations(indices, k) for k in range(len(indices) + 1))
 
 
-def _block_support(values: np.ndarray, tol: float) -> np.ndarray:
-    return np.max(np.abs(values), axis=(0, 1)) > tol
-
-
 def coordinate_subquadruplets(q: QuadrupletSpec) -> SubobjectCatalog:
     """Enumerate coordinate summand pairs (S1, S2) invariant under theta, phi, psi.
 
-    Block support is read off the concrete fields at the quadruplet's
-    constraint tolerance; the summands are the line-bundle factors, so
-    blocks are single entries.
+    Block support is the set of nonzero entries of the exact matrices; the
+    summands are the line-bundle factors, so blocks are single entries.
     """
-    t1 = _block_support(q.theta1, q.tol)
-    t2 = _block_support(q.theta2, q.tol)
-    sphi = _block_support(q.phi, q.tol)
-    spsi = _block_support(q.psi, q.tol)
+    t1, t2, sphi, spsi = (m.support() for m in q.exact)
     ambient = QuadInvariants(q.r1, q.r2, q.d1, q.d2)
     catalog = SubobjectCatalog(ambient)
 

@@ -34,6 +34,20 @@ def fs_integrate(disk, f_z, f_w) -> complex:
     return complex(np.sum(mass * f_z(disk.points)) + np.sum(mass * f_w(disk.points)))
 
 
+def grid_coordinates(grid: TorusGrid):
+    """The (x, y) sample coordinates of the grid, each an (n, n) array indexed [i, j]."""
+    x = np.arange(grid.n) / grid.n
+    return np.meshgrid(x, x, indexing="ij")
+
+
+def mode_field(grid: TorusGrid, p: int, q: int, matrix=1.0) -> np.ndarray:
+    """matrix * exp(2 pi i (p x + q y)) sampled on the grid: a test field for the spectral derivatives."""
+    x, y = grid_coordinates(grid)
+    phase = np.exp(2.0j * np.pi * (p * x + q * y))
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
+    return phase[..., None, None] * m
+
+
 def random_hermitian_log(grid: TorusGrid, degrees, rng, amplitude=0.25, modes=2):
     """Band-limited Hermitian matrix field supported on the degree mask."""
     r = len(degrees)
@@ -61,7 +75,8 @@ def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
 
     Draws from three families: rank-(1,1) with a single coupling and
     matched scalar Higgs fields, coupled rank-(2,2) with complementary
-    nilpotent couplings, and decoupled data with arbitrary degrees.
+    nilpotent couplings, and decoupled data with arbitrary degrees.  The
+    float draws are the exact matrices, so the constraints hold exactly.
     """
     kind = rng.integers(3)
     if kind == 0:
@@ -69,13 +84,9 @@ def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
         t = complex(rng.standard_normal() + 1j * rng.standard_normal())
         use_psi = bool(rng.random() < 0.5)
         coupling = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        phi = [[coupling]] if not use_psi else [[0.0]]
-        psi = [[coupling]] if use_psi else [[0.0]]
-        return QuadrupletSpec(
-            grid, (d,), (d,),
-            geo.constant_field(grid, [[t]]), geo.constant_field(grid, [[t]]),
-            geo.constant_field(grid, phi), geo.constant_field(grid, psi),
-        ).validate()
+        phi = [[coupling]] if not use_psi else [[0]]
+        psi = [[coupling]] if use_psi else [[0]]
+        return QuadrupletSpec(grid, (d,), (d,), [[t]], [[t]], phi, psi).validate()
     if kind == 1:
         d = int(rng.integers(-1, 2))
         p, q_ = rng.standard_normal(2)
@@ -84,20 +95,13 @@ def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
         theta2 = np.diag([q_, p]).astype(complex)
         phi = np.array([[0, a], [0, 0]], dtype=complex)
         psi = np.array([[0, b], [0, 0]], dtype=complex)
-        return QuadrupletSpec(
-            grid, (d, d), (d, d),
-            geo.constant_field(grid, theta1), geo.constant_field(grid, theta2),
-            geo.constant_field(grid, phi), geo.constant_field(grid, psi),
-        ).validate()
+        return QuadrupletSpec(grid, (d, d), (d, d), theta1, theta2, phi, psi).validate()
     d1 = tuple(int(v) for v in rng.integers(-2, 3, size=int(rng.integers(1, 3))))
     d2 = tuple(int(v) for v in rng.integers(-2, 3, size=int(rng.integers(1, 3))))
     t1 = np.diag(rng.standard_normal(len(d1)) + 1j * rng.standard_normal(len(d1)))
     t2 = np.diag(rng.standard_normal(len(d2)) + 1j * rng.standard_normal(len(d2)))
     return QuadrupletSpec(
-        grid, d1, d2,
-        geo.constant_field(grid, t1), geo.constant_field(grid, t2),
-        geo.zero_field(grid, len(d2), len(d1)),
-        geo.zero_field(grid, len(d1), len(d2)),
+        grid, d1, d2, t1, t2, np.zeros((len(d2), len(d1))), np.zeros((len(d1), len(d2)))
     ).validate()
 
 
@@ -109,21 +113,9 @@ def random_fraction(rng, max_num=8, max_den=6) -> Fraction:
 
 def psi_entry(grid: TorusGrid) -> QuadrupletSpec:
     """The stable catalog entry: trivial line bundles, psi = 1."""
-    return QuadrupletSpec(
-        grid, (0,), (0,),
-        geo.zero_field(grid, 1, 1),
-        geo.zero_field(grid, 1, 1),
-        geo.zero_field(grid, 1, 1),
-        geo.constant_field(grid, [[1.0]]),
-    ).validate()
+    return QuadrupletSpec(grid, (0,), (0,), [[0]], [[0]], [[0]], [[1]]).validate()
 
 
 def phi_entry(grid: TorusGrid) -> QuadrupletSpec:
     """The unstable catalog entry: trivial line bundles, phi = 1."""
-    return QuadrupletSpec(
-        grid, (0,), (0,),
-        geo.zero_field(grid, 1, 1),
-        geo.zero_field(grid, 1, 1),
-        geo.constant_field(grid, [[1.0]]),
-        geo.zero_field(grid, 1, 1),
-    ).validate()
+    return QuadrupletSpec(grid, (0,), (0,), [[0]], [[0]], [[1]], [[0]]).validate()

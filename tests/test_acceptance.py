@@ -133,10 +133,7 @@ def test_criterion_7_dimensional_reduction(solved_entry):
     ok_off = report_line("criterion 7b: off-diagonal Lambda_sigma blocks", he.sup_offdiagonal, 1e-8)
     integ = reduction.integrability_residual(q, float(c.sigma), samples)
     ok_int = report_line("criterion 7c: integrability of assembled F", integ.total, 1e-9)
-    broken = higgs.QuadrupletSpec(
-        q.grid, (0,), (0,), q.theta1, q.theta2,
-        geo.constant_field(q.grid, [[1.0]]), geo.constant_field(q.grid, [[1.0]]),
-    )
+    broken = higgs.QuadrupletSpec(q.grid, (0,), (0,), q.exact.theta1, q.exact.theta2, [[1]], [[1]])
     integ_broken = reduction.integrability_residual(broken, float(c.sigma), samples)
     ok_broken = integ_broken.total >= 1e-2
     print(f"{'PASS' if ok_broken else 'FAIL'} criterion 7d: broken phi psi = 0 detected "

@@ -1,12 +1,13 @@
 """Command-line driver: reports, exit codes, determinism, config diagnostics."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dcvortex import cli
-from dcvortex.config import ConfigError, parse_config
+from dcvortex.config import ConfigError, build_field, parse_config
 from dcvortex.report import Report, make_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -51,14 +52,19 @@ class TestCommands:
         rc = cli.main(["deg-p1", "2", "--out", str(tmp_path), "--tol", "-1"])
         assert rc == 2
 
-    def test_tolerances_section_parsed(self, tmp_path):
-        text = SMALL_SOLVE + "\n[tolerances]\nconstraint = 1e-8\ncheck = 1e-5\n"
+    def test_tolerances_section_parsed(self, tmp_path, capsys):
+        text = SMALL_SOLVE + "\n[tolerances]\ncheck = 1e-5\n"
         cfg = parse_config(write_config(tmp_path, text))
-        assert cfg.constraint_tol == 1e-8
         assert cfg.check_tol == 1e-5
         bad = SMALL_SOLVE + "\n[tolerances]\ncheck = -1\n"
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, bad, name="bad.ini"))
+        # the quadruplet constraints are exact, so there is no constraint tolerance to set
+        removed = write_config(tmp_path, SMALL_SOLVE + "\n[tolerances]\nconstraint = 1e-8\ncheck = 1e-5\n", "old.ini")
+        rc = cli.main(["solve", "--config", str(removed), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "[tolerances] constraint" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_solve_command_stable(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SOLVE)
@@ -122,6 +128,34 @@ class TestCommands:
         # the added (0, E2) invariant destabilizes the psi entry's catalog
         assert report["stability"]["tau_verdict"]["verdict"] == "unstable"
 
+    def test_tiny_psi_is_stable(self, tmp_path):
+        # psi = 1e-10 is a nonzero psi: E2 alone is not a sub-object, E1 is
+        cfg = write_config(tmp_path, SMALL_SOLVE.replace("psi = constant 1", "psi = constant 1e-10"))
+        rc = cli.main(["stability", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "stability_report.json").read_text())
+        for kind in ("tau_verdict", "sigma_verdict"):
+            verdict = report["stability"][kind]
+            assert verdict["verdict"] == "stable"
+            assert [w["invariants"] for w in verdict["witnesses"]] == [[1, 0, 0, 0]]
+
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    def test_near_miss_twist_exit_1(self, tmp_path, capsys, command):
+        # theta1 psi - psi theta2 = -1e-12: not a Higgs quadruplet, however small the defect
+        fields = "theta1 = constant 1\ntheta2 = constant 1.000000000001\npsi = constant 1"
+        cfg = write_config(tmp_path, SMALL_SOLVE.replace("psi = constant 1", fields))
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "theta1 psi != psi theta2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rational_entry_solves(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_SOLVE.replace("psi = constant 1", 'psi = matrix [["1/3"]]'))
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+        assert report["solver"]["converged"]
+
     def test_verify_hk_command(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -168,6 +202,27 @@ class TestConfigHandling:
         rc = cli.main(["solve", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("token, re, im", [
+        ("1", 1, 0),
+        ("1/3", Fraction(1, 3), 0),
+        ("-0.25", Fraction(-1, 4), 0),
+        ("1e-10", Fraction(1, 10**10), 0),
+        ("2j", 0, 2),
+        ("-j", 0, -1),
+        ("1/3+2/5j", Fraction(1, 3), Fraction(2, 5)),
+        ("1e-3-2.5E+1J", Fraction(1, 1000), -25),
+        ("1 - j", 1, -1),
+    ])
+    def test_entry_grammar(self, token, re, im):
+        m = build_field("psi", f"matrix [[{json.dumps(token)}]]", 1, 1)
+        assert (m.re[0, 0], m.im[0, 0]) == (re, im)
+        assert m.values()[0, 0] == complex(float(re), float(im))
+
+    @pytest.mark.parametrize("token", ["1/0", "1//3", "(1+2j)", "1+", "1.5/2", "0x10"])
+    def test_entry_grammar_rejects(self, token):
+        with pytest.raises(ConfigError, match=r"\[fields\] psi.*cannot parse complex"):
+            build_field("psi", f"constant {token}", 1, 1)
+
     def test_bad_field_spec_names_key(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SOLVE.replace("psi = constant 1", "psi = constant what"))
         with pytest.raises(ConfigError, match="complex"):
@@ -177,8 +232,16 @@ class TestConfigHandling:
         ("constant nan", "non-finite"),
         ("constant inf", "non-finite"),
         ("matrix [[\"nan\"]]", "non-finite"),
-        # (-1)^i on n = 16: only the grid makes it look holomorphic
-        ("mode 8 0 1", "holomorphy"),
+        # finite rationals whose float64 values overflow
+        ("constant 1e400", "non-finite"),
+        ("constant 1-1e400j", "non-finite"),
+        ("matrix [[\"1e400\"]]", "non-finite"),
+        # malformed matrix literals: not a list of rows
+        ("matrix 5", "[fields] psi"),
+        ("matrix [1]", "[fields] psi"),
+        ("matrix [[\"1\"], [\"0\"]]", "[fields] psi"),
+        # a field is one constant matrix; there is no sampled-mode kind
+        ("mode 8 0 1", "unknown field kind"),
     ])
     def test_invalid_field_exit_1(self, tmp_path, capsys, spec, message):
         cfg = write_config(tmp_path, SMALL_SOLVE.replace("psi = constant 1", f"psi = {spec}"))

@@ -1,13 +1,23 @@
 """Curvature, adjoints, brackets and the quadruplet constraints."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dcvortex import geometry as geo
 from dcvortex import higgs, vortex
-from dcvortex.errors import ConstraintError, DomainError
+from dcvortex.errors import ConstraintError, DomainError, ShapeError
 
-from conftest import psi_entry, random_admissible_quadruplet, random_hermitian_log, random_metric_pair, unit_metrics
+from conftest import (
+    grid_coordinates,
+    mode_field,
+    psi_entry,
+    random_admissible_quadruplet,
+    random_hermitian_log,
+    random_metric_pair,
+    unit_metrics,
+)
 
 
 def degree_from_curvature(F):
@@ -39,7 +49,7 @@ class TestChernCurvature:
 
     def test_exponential_metric_matches_dbar_del(self):
         g = geo.TorusGrid(32)
-        x, _ = g.coordinates()
+        x, _ = grid_coordinates(g)
         u = 0.1 * np.cos(2 * np.pi * x)[..., None, None] + 0j
         h = np.exp(u)
         F = curvature(h, (0,))
@@ -53,7 +63,7 @@ class TestChernCurvature:
         from test_geometry import stencil_derivative
 
         g = geo.TorusGrid(64)
-        x, y = g.coordinates()
+        x, y = grid_coordinates(g)
         u = (0.1 * np.cos(2 * np.pi * x) - 0.05 * np.sin(2 * np.pi * y))[..., None, None] + 0j
         h = np.exp(u)
         F = curvature(h, (0,))
@@ -98,8 +108,8 @@ class TestMetricChecks:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0, 0), (0,),
-            geo.zero_field(g, 2, 2), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 2), geo.constant_field(g, [[1.0], [0.0]]),
+            np.zeros((2, 2)), [[0]],
+            np.zeros((1, 2)), [[1.0], [0.0]],
         ).validate()
         c = vortex.constants_from_sigma(2, 2, 1, 0, 0)
         bad = geo.constant_field(g, self.BAD[kind])
@@ -152,7 +162,7 @@ class TestAdjoints:
         # the adjoint the coupling terms take of phi and psi
         g = geo.TorusGrid(16)
         c = 0.7 + 0.2j
-        x, y = g.coordinates()
+        x, y = grid_coordinates(g)
         u1 = 0.3 * np.cos(2 * np.pi * x)[..., None, None] + 0j
         u2 = -0.2 * np.sin(2 * np.pi * y)[..., None, None] + 0j
         fstar = higgs.higgs_adjoint(geo.constant_field(g, [[c]]), 1.0 / np.exp(u1), np.exp(u2))
@@ -185,7 +195,7 @@ class TestBracket:
 
     def test_zero_theta(self):
         g = geo.TorusGrid(8)
-        z = geo.zero_field(g, 2, 2)
+        z = geo.constant_field(g, np.zeros((2, 2)))
         br = higgs.bracket_theta(z, adjoint(z, geo.identity_field(g, 2)))
         assert geo.sup_norm(br) == 0.0
 
@@ -221,87 +231,96 @@ class TestBracket:
         assert np.abs(val.imag).max() < 1e-13
 
 
+def exactly_zero(m: higgs.ExactMatrix) -> bool:
+    return not m.support().any()
+
+
 class TestQuadrupletConstraints:
     def test_constant_quadruplet_residuals_vanish(self):
         g = geo.TorusGrid(16)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.constant_field(g, [[1.2]]),
-            geo.constant_field(g, [[1.2]]),
-            geo.zero_field(g, 1, 1),
-            geo.constant_field(g, [[0.5]]),
-        )
-        res = higgs.holomorphy_residuals(q)
-        assert max(res) < 1e-12
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[1.2]], [[1.2]], [[0]], [[0.5]])
+        assert all(exactly_zero(d) for d in higgs.holomorphy_residuals(q))
 
     def test_nonholomorphic_phi_detected(self):
-        # phi = exp(2 pi i x): residual sup is |pi i exp(2 pi i x)| = pi
+        # theta1 = 1, theta2 = 2, phi = 1: the twist theta2 phi - phi theta1 is exactly 1
         g = geo.TorusGrid(32)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.mode_field(g, 1, 0),
-            geo.zero_field(g, 1, 1),
-        )
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[1]], [[2]], [[1]], [[0]])
         res = higgs.holomorphy_residuals(q)
-        assert res.phi == pytest.approx(np.pi, rel=1e-10)
-        with pytest.raises(ConstraintError):
+        assert res.phi.re[0, 0] == 1 and res.phi.im[0, 0] == 0
+        assert exactly_zero(res.psi)
+        with pytest.raises(ConstraintError, match="theta2 phi != phi theta1"):
             q.validate()
 
     @pytest.mark.parametrize("p, q_", [(8, 0), (0, 8), (8, 8)])
     def test_nyquist_mode_rejected(self, p, q_):
-        # (-1)^i is not holomorphic, but the spectral dbar zeroes the Nyquist
-        # wavenumber and reads 0 on it
+        # (-1)^i is not holomorphic, and the spectral dbar zeroes the Nyquist
+        # wavenumber and reads 0 on it; a field is one constant matrix, so a
+        # sampled field such as this one cannot be given at all
         g = geo.TorusGrid(16)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.mode_field(g, p, q_),
-        )
-        assert geo.sup_norm(geo.dbar(q.psi)) < 1e-12
-        assert higgs.holomorphy_residuals(q).psi == pytest.approx(8 * np.pi, rel=1e-12)
-        with pytest.raises(ConstraintError):
-            q.validate()
+        field = mode_field(g, p, q_)
+        assert geo.sup_norm(geo.dbar(field)) < 1e-12
+        with pytest.raises(ShapeError, match="one constant matrix"):
+            higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], field)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_field_rejected(self, value):
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.constant_field(g, [[value]]),
-        )
         with pytest.raises(ConstraintError, match="non-finite"):
+            higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[value]]).validate()
+
+    @pytest.mark.parametrize("value", [Fraction(10**400), Fraction(-(10**309), 3)])
+    def test_float64_overflow_rejected(self, value):
+        # finite as a rational, but its float64 value is not
+        g = geo.TorusGrid(8)
+        with pytest.raises(ConstraintError, match="non-finite"):
+            higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[value]])
+
+    def test_entries_are_exact(self):
+        # a float is taken at its binary value, a Fraction as is; the arrays
+        # hold each part rounded once
+        g = geo.TorusGrid(8)
+        third = Fraction(1, 3)
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[third]], [[third]], [[0]], [[0.1 - 2.5j]])
+        assert q.exact.psi.re[0, 0] == Fraction(0.1) != Fraction(1, 10)
+        assert q.exact.psi.im[0, 0] == Fraction(-5, 2)
+        assert q.exact.theta1.re[0, 0] == third
+        assert np.array_equal(q.theta1, np.full((8, 8, 1, 1), 1 / 3 + 0j))
+        assert np.array_equal(q.psi, np.full((8, 8, 1, 1), 0.1 - 2.5j))
+        q.validate()
+
+    def test_near_miss_twist_rejected(self):
+        # theta2 - theta1 = 1e-12 breaks theta1 psi = psi theta2; no tolerance forgives it
+        g = geo.TorusGrid(8)
+        theta2 = Fraction("1.000000000001")
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[1]], [[theta2]], [[0]], [[1]])
+        assert higgs.holomorphy_residuals(q).psi.re[0, 0] == 1 - theta2
+        with pytest.raises(ConstraintError, match="theta1 psi != psi theta2"):
             q.validate()
 
     def test_composition_constraint_enforced(self):
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.constant_field(g, [[1.0]]),
-            geo.constant_field(g, [[1.0]]),
-        )
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[1.0]], [[1.0]])
         with pytest.raises(ConstraintError):
+            q.validate()
+
+    def test_tiny_composition_rejected(self):
+        # phi psi = 1e-20 is not 0
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[Fraction(1, 10**10)]], [[Fraction(1, 10**10)]])
+        with pytest.raises(ConstraintError, match="must vanish"):
             q.validate()
 
     def test_degree_mask_enforced(self):
         # coupling between summands of different degree is unrepresentable
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (1,), (0,),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1),
-            geo.constant_field(g, [[1.0]]),
-        )
+        q = higgs.QuadrupletSpec(g, (1,), (0,), [[0]], [[0]], [[0]], [[1.0]])
         with pytest.raises(ConstraintError):
+            q.validate()
+
+    def test_wrong_matrix_shape_rejected(self):
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(g, (0, 0), (0,), np.zeros((2, 2)), [[0]], np.zeros((1, 2)), [[1]])
+        with pytest.raises(ShapeError, match="psi must be a 2x1 matrix"):
             q.validate()
 
     def test_random_admissible_families_validate(self):
@@ -310,5 +329,5 @@ class TestQuadrupletConstraints:
         for _ in range(20):
             q = random_admissible_quadruplet(g, rng)
             h = random_metric_pair(q, rng)
-            assert max(higgs.holomorphy_residuals(q)) < 1e-9
+            assert all(exactly_zero(d) for d in higgs.holomorphy_residuals(q))
             h.validate()

@@ -7,7 +7,7 @@ from dcvortex import geometry as geo
 from dcvortex import higgs, hyperkahler as hk, vortex
 from dcvortex.errors import ConstraintError
 
-from conftest import psi_entry, unit_metrics
+from conftest import grid_coordinates, psi_entry, unit_metrics
 
 
 def slots(t):
@@ -30,7 +30,7 @@ def small_grid():
 
 def loop_smooth_matrix(grid, ro, ri, rng, amplitude, modes):
     """Reference: one full-grid exponential per mode (p, q), drawn in loop order."""
-    x, y = grid.coordinates()
+    x, y = grid_coordinates(grid)
     out = np.zeros((grid.n, grid.n, ro, ri), dtype=np.complex128)
     for p in range(-modes, modes + 1):
         for q in range(-modes, modes + 1):

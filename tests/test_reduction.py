@@ -95,11 +95,7 @@ class TestInvariantForms:
 class TestAssemblyAndHE:
     def test_block_diagonal_when_decoupled(self):
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-        ).validate()
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[0]]).validate()
         asm = reduction.assemble_F(q, unit_metrics(q), 2.0, samples(q, 10))
         assert asm.points.shape == (10,) and asm.ij.shape == (10, 2)
         for blocks in (asm.dbar_off, asm.theta_off, asm.metric):
@@ -120,11 +116,7 @@ class TestAssemblyAndHE:
         # all-zero fields, d = 0, flat h solve only tau = 0; assembling with
         # sigma = 2 leaves exactly the constant lambda = -2 pi i
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-        ).validate()
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[0]]).validate()
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
         asm = reduction.assemble_F(q, unit_metrics(q), 2.0, samples(q, 20))
         he = reduction.he_residual_product(asm, c)
@@ -144,11 +136,7 @@ class TestAssemblyAndHE:
     def _flat_shifted(self):
         # d = (1, -1): flat metrics solve the tau = 1 system exactly
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (1,), (-1,),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-        ).validate()
+        q = higgs.QuadrupletSpec(g, (1,), (-1,), [[0]], [[0]], [[0]], [[0]]).validate()
         return q, vortex.constants_from_tau(1, 1, 1, 1, -1)
 
     def test_wrong_p1_weight_fails_equivalence(self, monkeypatch):
@@ -177,18 +165,15 @@ class TestAssemblyAndHE:
     def test_product_blocks_are_rescaled_vortex_residual(self, sigma, degrees1, degrees2):
         # the reduction identity, pointwise: for any metrics the diagonal
         # blocks of the product residual are (2/sigma) (R1, R2) at the
-        # sampled torus points; the fields need not be holomorphic
-        from dcvortex import hyperkahler as hk
-
+        # sampled torus points; the constant fields need not satisfy the
+        # quadruplet constraints
         rng = np.random.default_rng(11 + sigma)
         g = geo.TorusGrid(8)
         r1, r2 = len(degrees1), len(degrees2)
         q = higgs.QuadrupletSpec(
             g, degrees1, degrees2,
-            hk.random_smooth_matrix(g, r1, r1, rng),
-            hk.random_smooth_matrix(g, r2, r2, rng),
-            hk.random_smooth_matrix(g, r2, r1, rng),
-            hk.random_smooth_matrix(g, r1, r2, rng),
+            *(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for shape in ((r1, r1), (r2, r2), (r2, r1), (r1, r2)))
         )
         s1 = random_hermitian_log(g, degrees1, rng, amplitude=1.0)
         s2 = random_hermitian_log(g, degrees2, rng, amplitude=1.0)
@@ -238,39 +223,39 @@ class TestAssemblyAndHE:
 
 
 class TestIntegrability:
-    def _entry(self, g, phi, psi, theta1=None, theta2=None):
-        zero = geo.zero_field(g, 1, 1)
-        return higgs.QuadrupletSpec(
-            g, (0,), (0,), zero if theta1 is None else theta1, zero if theta2 is None else theta2, phi, psi
-        )
+    def _entry(self, g, phi, psi, theta1=((0,),), theta2=((0,),)):
+        return higgs.QuadrupletSpec(g, (0,), (0,), theta1, theta2, phi, psi)
 
     def test_valid_quadruplet_integrable(self):
         g = geo.TorusGrid(16)
-        q = self._entry(g, geo.zero_field(g, 1, 1), geo.constant_field(g, [[1.0]]))
+        q = self._entry(g, [[0]], [[1.0]])
         rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.total < 1e-12
 
     def test_broken_composition_detected(self):
         g = geo.TorusGrid(16)
-        q = self._entry(g, geo.constant_field(g, [[1.0]]), geo.constant_field(g, [[1.0]]))
+        q = self._entry(g, [[1.0]], [[1.0]])
         rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.total >= 1e-2
         assert rep.phi_psi >= 1e-2 and rep.psi_phi >= 1e-2
 
     def test_broken_holomorphy_detected(self):
+        # theta1 = 1, theta2 = 2, phi = 1: theta2 phi != phi theta1, a constant
+        # violation of phi's holomorphy in the product
         g = geo.TorusGrid(16)
-        q = self._entry(g, geo.zero_field(g, 1, 1), geo.mode_field(g, 1, 0))
+        q = self._entry(g, [[1.0]], [[0]], theta1=[[1.0]], theta2=[[2.0]])
         rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
-        assert rep.psi_block > 1e-2
+        assert rep.phi_block > 1e-2
+        assert rep.psi_block == 0.0
 
     def test_broken_intertwining_detected(self):
         g = geo.TorusGrid(16)
         q = higgs.QuadrupletSpec(
             g, (0,), (0,),
-            geo.constant_field(g, [[1.0]]),
-            geo.constant_field(g, [[2.0]]),
-            geo.zero_field(g, 1, 1),
-            geo.constant_field(g, [[1.0]]),  # theta1 psi != psi theta2
+            [[1.0]],
+            [[2.0]],
+            [[0]],
+            [[1.0]],  # theta1 psi != psi theta2
         )
         rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
         assert rep.psi_block > 1e-2
@@ -278,27 +263,18 @@ class TestIntegrability:
     def test_matches_pointwise_loop(self):
         # the array pass against a per-point loop over the same samples
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.constant_field(g, [[1.0]]),
-            geo.constant_field(g, [[2.0]]),
-            geo.mode_field(g, 0, 1, 0.5),
-            geo.mode_field(g, 1, 0),
-        )
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[1.0]], [[2.0]], [[0.5j]], [[1.0]])
         points = samples(q, 30, seed=4)
         rep = reduction.integrability_residual(q, 3.0, points)
         forms = reduction.calibrate_alpha_beta(3.0)
         psi, phi = q.psi, q.phi
         t1, t2 = q.theta1, q.theta2
-        dbar_psi, dbar_phi = geo.dbar(psi), geo.dbar(phi)
         sups = dict(psi_block=0.0, phi_block=0.0, phi_psi=0.0, psi_phi=0.0)
         for (i, j), z in zip(*points):
             a = abs(forms.c_alpha * reduction.alpha_coeff(z))
             b = abs(forms.c_beta * reduction.beta_coeff(z))
             for key, value in (
-                ("psi_block", a * geo.sup_norm(dbar_psi[i, j])),
                 ("psi_block", a * geo.sup_norm(t1[i, j] @ psi[i, j] - psi[i, j] @ t2[i, j])),
-                ("phi_block", b * geo.sup_norm(dbar_phi[i, j])),
                 ("phi_block", b * geo.sup_norm(t2[i, j] @ phi[i, j] - phi[i, j] @ t1[i, j])),
                 ("phi_psi", a * b * geo.sup_norm(phi[i, j] @ psi[i, j])),
                 ("psi_phi", a * b * geo.sup_norm(psi[i, j] @ phi[i, j])),
@@ -309,13 +285,16 @@ class TestIntegrability:
             assert getattr(rep, key) == pytest.approx(value, rel=1e-14)
 
     def test_broken_theta_holomorphy_detected(self):
+        # rank (2, 1): the nilpotent theta1 moves the image of psi = e2 to e1,
+        # so theta1 psi = e1 != 0 = psi theta2
         g = geo.TorusGrid(16)
-        q = self._entry(
-            g, geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-            theta1=geo.mode_field(g, 1, 0),
-        )
+        q = higgs.QuadrupletSpec(g, (0, 0), (0,), [[0, 1], [0, 0]], [[0]], np.zeros((1, 2)), [[0], [1]])
         rep = reduction.integrability_residual(q, 2.0, samples(q, 64))
-        assert rep.theta1 == pytest.approx(np.pi, rel=1e-10)
+        weight = np.abs(reduction.calibrate_alpha_beta(2.0).c_alpha * reduction.alpha_coeff(samples(q, 64).zeta))
+        assert rep.psi_block == pytest.approx(weight.max(), rel=1e-14)
+        assert rep.total == rep.psi_block
+        with pytest.raises(ConstraintError, match="theta1 psi != psi theta2"):
+            q.validate()
 
 
 class TestIotaRoundtrip:

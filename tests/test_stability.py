@@ -136,15 +136,23 @@ class TestCoordinateSubquadruplets:
         cat = stability.coordinate_subquadruplets(psi_entry(g))
         assert [tuple(e.invariants) for e in cat.entries] == [(1, 0, 0, 0)]
 
+    def test_tiny_entry_is_support(self):
+        # support is exact: psi = 1e-10 is as much a nonzero psi as psi = 1
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[1e-10]]).validate()
+        cat = stability.coordinate_subquadruplets(q)
+        assert [tuple(e.invariants) for e in cat.entries] == [(1, 0, 0, 0)]
+        assert stability.verdict_sigma(cat, 2).verdict == "stable"
+
     def test_unconstrained_counts(self):
         # phi = psi = 0, diagonal theta: all 2^(k1+k2) - 2 coordinate pairs
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0, 1), (2,),
-            geo.constant_field(g, np.diag([1.0, 2.0])),
-            geo.constant_field(g, [[3.0]]),
-            geo.zero_field(g, 1, 2),
-            geo.zero_field(g, 2, 1),
+            np.diag([1.0, 2.0]),
+            [[3.0]],
+            np.zeros((1, 2)),
+            np.zeros((2, 1)),
         )
         cat = stability.coordinate_subquadruplets(q)
         assert len(cat.entries) == 2 ** 3 - 2
@@ -153,10 +161,10 @@ class TestCoordinateSubquadruplets:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (1, -2), (3,),
-            geo.zero_field(g, 2, 2),
-            geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 2),
-            geo.zero_field(g, 2, 1),
+            np.zeros((2, 2)),
+            [[0]],
+            np.zeros((1, 2)),
+            np.zeros((2, 1)),
         )
         cat = stability.coordinate_subquadruplets(q)
         degrees = {tuple(e.invariants) for e in cat.entries}

@@ -76,22 +76,14 @@ class TestConstants:
 class TestResidual:
     def test_trivial_everything(self):
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-        ).validate()
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[0]]).validate()
         c = vortex.constants_from_tau(0, 1, 1, 0, 0)
         r1, r2 = vortex.residual(q, unit_metrics(q), c)
         assert max(geo.sup_norm(r1), geo.sup_norm(r2)) == 0.0
 
     def test_constants_only(self):
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-        ).validate()
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[0]]).validate()
         c = vortex.constants_from_tau(1, 1, 1, 0, 0)
         r1, r2 = vortex.residual(q, unit_metrics(q), c)
         assert np.abs(r1 - 2j * np.pi).max() < 1e-14
@@ -113,8 +105,8 @@ class TestResidual:
         g = geo.TorusGrid(8)
         q = higgs.QuadrupletSpec(
             g, (0, 0), (0,),
-            geo.constant_field(g, [[0, 1], [0, 0]]), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 2), geo.zero_field(g, 2, 1),
+            [[0, 1], [0, 0]], [[0]],
+            np.zeros((1, 2)), np.zeros((2, 1)),
         ).validate()
         c = vortex.constants_from_tau(1, 2, 1, 0, 0)
         h = higgs.MetricPair(geo.constant_field(g, np.diag([3.0, 0.5])), geo.identity_field(g, 1))
@@ -187,11 +179,7 @@ def assert_psi_entry_solution(h, tol):
 class TestSolver:
     def test_decoupled_case_no_motion(self):
         g = geo.TorusGrid(8)
-        q = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-            geo.zero_field(g, 1, 1), geo.zero_field(g, 1, 1),
-        ).validate()
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[0]]).validate()
         c = vortex.constants_from_tau(0, 1, 1, 0, 0)
         h, rep = vortex.solve(q, c)
         assert rep.converged and rep.iterations == 0
@@ -219,13 +207,7 @@ class TestSolver:
         g = geo.TorusGrid(16)
         c = vortex.constants_from_sigma(2, 1, 1, 0, 0)
         q0 = psi_entry(g)
-        qt = higgs.QuadrupletSpec(
-            g, (0,), (0,),
-            geo.constant_field(g, [[0.8]]),
-            geo.constant_field(g, [[0.8]]),
-            geo.zero_field(g, 1, 1),
-            geo.constant_field(g, [[1.0]]),
-        ).validate()
+        qt = higgs.QuadrupletSpec(g, (0,), (0,), [[0.8]], [[0.8]], [[0]], [[1.0]]).validate()
         opts = vortex.SolveOptions(target_residual=1e-9, max_iter=20000)
         h0, rep0 = vortex.solve(q0, c, opts)
         ht, rept = vortex.solve(qt, c, opts)
@@ -238,8 +220,8 @@ class TestSolver:
         g = geo.TorusGrid(16)
         q = higgs.QuadrupletSpec(
             g, (0, 0), (0, 0),
-            geo.zero_field(g, 2, 2), geo.zero_field(g, 2, 2),
-            geo.zero_field(g, 2, 2), geo.identity_field(g, 2),
+            np.zeros((2, 2)), np.zeros((2, 2)),
+            np.zeros((2, 2)), np.eye(2),
         ).validate()
         c = vortex.constants_from_sigma(2, 2, 2, 0, 0)
         assert c.tau == Fraction(1)
@@ -321,18 +303,14 @@ def rank2_psi_quadruplet(grid) -> higgs.QuadrupletSpec:
     """Rank (2, 1), trivial bundles, psi = [[1], [0]] and no other field."""
     return higgs.QuadrupletSpec(
         grid, (0, 0), (0,),
-        geo.zero_field(grid, 2, 2), geo.zero_field(grid, 1, 1),
-        geo.zero_field(grid, 1, 2), geo.constant_field(grid, [[1.0], [0.0]]),
+        np.zeros((2, 2)), [[0]],
+        np.zeros((1, 2)), [[1.0], [0.0]],
     ).validate()
 
 
 def constant_psi_entry(grid, value: float) -> higgs.QuadrupletSpec:
     """The stable psi entry with psi = value; its solution has s1 - s2 = ln(2 pi) - 2 ln(value)."""
-    return higgs.QuadrupletSpec(
-        grid, (0,), (0,),
-        geo.zero_field(grid, 1, 1), geo.zero_field(grid, 1, 1),
-        geo.zero_field(grid, 1, 1), geo.constant_field(grid, [[value]]),
-    ).validate()
+    return higgs.QuadrupletSpec(grid, (0,), (0,), [[0]], [[0]], [[0]], [[value]]).validate()
 
 
 class TestRunaway:
