@@ -11,7 +11,7 @@ default unnoticed.  Field specifications accept
 and are read exactly into Gaussian-rational matrices.  An entry is a or
 a+bj (also a-bj, bj, j), where a and b are each an integer, a decimal
 (exponent allowed) or p/q.  An entry whose float64 value is not finite
-(nan, inf, 1e400) is an error.
+(nan, inf, 1e400), or is 0.0 although the entry is not (1e-400), is an error.
 """
 
 from __future__ import annotations
@@ -101,16 +101,18 @@ def _get_number(parser: configparser.ConfigParser, section: str, key: str, kind,
 
 
 def _exact_part(text: str, token: str, where: str) -> Fraction:
-    """One real part of an entry, exactly; a ConfigError unless its float64 value is finite."""
+    """One real part of an entry, exactly; a ConfigError unless its float64 value is finite, and nonzero if it is."""
     try:
         value = Fraction(text)
-        float(value)
-        return value
+        rounded = float(value)
     except OverflowError as exc:
         raise ConfigError(f"{where}: non-finite value {token!r}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         what = "non-finite value" if text.lstrip("+-") in ("nan", "inf", "infinity") else "cannot parse complex"
         raise ConfigError(f"{where}: {what} {token!r} (a or a+bj; a, b integer, decimal or p/q)") from exc
+    if value and not rounded:
+        raise ConfigError(f"{where}: value {token!r} is nonzero but underflows to 0.0 in float64")
+    return value
 
 
 def _parse_entry(token: str, where: str) -> tuple[Fraction, Fraction]:

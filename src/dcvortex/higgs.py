@@ -71,9 +71,11 @@ def _gaussian(x, what: str) -> tuple[Fraction, Fraction]:
     parts = (x, 0) if isinstance(x, numbers.Rational) else (complex(x).real, complex(x).imag)
     try:
         exact = Fraction(parts[0]), Fraction(parts[1])
-        float(exact[0]), float(exact[1])  # OverflowError past the float64 range
+        rounded = float(exact[0]), float(exact[1])  # OverflowError past the float64 range
     except (ValueError, OverflowError) as exc:  # also NaN and inf
         raise ConstraintError(f"{what} has a non-finite entry {x!r}") from exc
+    if any(e and not r for e, r in zip(exact, rounded)):
+        raise ConstraintError(f"{what} has an entry {x!r} that is nonzero but underflows to 0.0 in float64")
     return exact
 
 
@@ -101,9 +103,10 @@ class QuadrupletSpec:
     theta_i are the dz coefficients of the Higgs fields, phi: E1 -> E2
     and psi: E2 -> E1 are functions.  Each is given as one constant matrix,
     an ExactMatrix or a matrix of ints, Fractions, floats or complex numbers
-    taken exactly (ConstraintError if an entry is NaN, infinite or past the
-    float64 range), and kept in `exact`.  The attributes theta1, theta2,
-    phi, psi are its (n, n, r_out, r_in) complex128 arrays, formed here once.
+    taken exactly (ConstraintError if an entry is NaN, infinite, past the
+    float64 range, or nonzero but 0.0 in float64), and kept in `exact`.  The
+    attributes theta1, theta2, phi, psi are its (n, n, r_out, r_in)
+    complex128 arrays, formed here once.
     """
 
     def __init__(self, grid: TorusGrid, block_degrees1, block_degrees2, theta1, theta2, phi, psi):

@@ -12,13 +12,17 @@ omega_I := g(I., .): the overall sign of apply_I and the factor 2 on the
 coupling part of g are the unique choices satisfying it (flipping I's
 sign moves the identity to the swapped argument order), and mu_I couples
 the full endomorphisms with the same phi-signs as the vortex residual.
+
+Random data is drawn by field set: the slots of a tangent, a configuration
+or a gauge direction come from one generator read, in slot order, and equal
+the same sequence of random_smooth_matrix calls (see its draw-order contract).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,8 +126,13 @@ def quaternion_defect(a: TangentData) -> float:
     """Sup over the slots of I^2 a + a, J^2 a + a and K^2 a + a.
 
     K = I J by definition, so K^2 = -1 holds iff I J = -J I given I^2 = J^2 = -1.
+    Each slot's sum is a new array (op(op(a)) may return a's own arrays).
     """
-    return max(geo.sup_norm(x + y) for op in (apply_I, apply_J, apply_K) for x, y in zip(op(op(a)), a))
+    worst = 0.0
+    for op in (apply_I, apply_J, apply_K):
+        for x, y in zip(op(op(a)), a):
+            worst = max(worst, np.abs(x + y).max())
+    return float(worst)
 
 
 def omega_I(a: TangentData, b: TangentData) -> float:
@@ -243,73 +252,64 @@ def _fourier_table(n: int, modes: int) -> np.ndarray:
     return table
 
 
+def _random_fields(grid: TorusGrid, shapes, rng, amplitude: float, modes: int = 2) -> Iterator[np.ndarray]:
+    """random_smooth_matrix for each (ro, ri) in shapes, in order: one generator read, two GEMMs a field."""
+    m, n = 2 * modes + 1, grid.n
+    draws = rng.standard_normal(sum(m * m * 2 * ro * ri for ro, ri in shapes))
+    at = _fourier_table(n, modes).T
+    start = 0
+    for ro, ri in shapes:
+        block = draws[start:start + m * m * 2 * ro * ri].reshape(m, m, 2, ro * ri)
+        start += block.size
+        coeff = np.ascontiguousarray(block.transpose(1, 0, 3, 2)).view(np.complex128)  # (q, p, entry)
+        over_q = np.dot(at, coeff.reshape(m, -1)).reshape(n, m, ro, ri)  # sum over q
+        out = np.dot(at, over_q.transpose(1, 0, 2, 3).reshape(m, -1)).reshape(n, n, ro, ri)
+        norm = np.abs(out).max()
+        yield out * (amplitude / norm) if norm > 0 else out
+
+
 def random_smooth_matrix(grid: TorusGrid, ro: int, ri: int, rng, amplitude: float = 0.3, modes: int = 2) -> np.ndarray:
     """Band-limited random matrix field (trigonometric polynomial entries).
 
     The field is sum_{|p|,|q| <= modes} c_pq exp(2 pi i (p x + q y)), rescaled
     to sup norm `amplitude`.  Draw-order contract: the coefficients come from
-    one call rng.standard_normal((m, m, 2, ro, ri)), m = 2 modes + 1, indexed
-    (p, q, re/im, entry) with p and q ascending from -modes, so the generator
-    yields the same numbers, and ends in the same state, as a loop over p,
-    then q, drawing the (ro, ri) real part and then the imaginary part.
-    The sum is separable, e_p(x) e_q(y), and is taken as two contractions
-    with the cached 1-D table.
+    one read rng.standard_normal(m * m * 2 * ro * ri), m = 2 modes + 1, indexed
+    (p, q, re/im, entry) with p and q ascending from -modes: the numbers, and
+    the generator's end state, of a loop over p, then q, drawing the (ro, ri)
+    real part and then the imaginary part.  A field set (the slots of
+    random_tangent, random_configuration or random_gauge_direction) is one read
+    of its slots' blocks in slot order, so it equals these calls in sequence,
+    bit for bit, and leaves the generator in the same state.
     """
-    m = 2 * modes + 1
-    draws = rng.standard_normal((m, m, 2, ro, ri))
-    coeff = draws[:, :, 0] + 1j * draws[:, :, 1]
-    table = _fourier_table(grid.n, modes)
-    over_q = np.tensordot(table, coeff, axes=(0, 1))   # (y, p, ro, ri)
-    out = np.tensordot(table, over_q, axes=(0, 1))     # (x, y, ro, ri)
-    norm = geo.sup_norm(out)
-    return out * (amplitude / norm) if norm > 0 else out
+    return next(_random_fields(grid, ((ro, ri),), rng, amplitude, modes))
 
 
-def random_skew_field(grid: TorusGrid, r: int, rng, amplitude: float = 0.3, modes: int = 2) -> np.ndarray:
-    m = random_smooth_matrix(grid, r, r, rng, amplitude, modes)
+def _skew(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - adjoint_values(m))
 
 
+def random_skew_field(grid: TorusGrid, r: int, rng, amplitude: float = 0.3, modes: int = 2) -> np.ndarray:
+    return _skew(random_smooth_matrix(grid, r, r, rng, amplitude, modes))
+
+
+def _slot_shapes(r1: int, r2: int) -> tuple[tuple[int, int], ...]:
+    return (r1, r1), (r1, r1), (r2, r2), (r2, r2), (r2, r1), (r1, r2)  # a1, p1, a2, p2, f/phi, g/psi
+
+
 def random_tangent(grid: TorusGrid, r1: int, r2: int, rng, amplitude: float = 0.5) -> TangentData:
-    return TangentData(
-        a1=random_smooth_matrix(grid, r1, r1, rng, amplitude),
-        p1=random_smooth_matrix(grid, r1, r1, rng, amplitude),
-        a2=random_smooth_matrix(grid, r2, r2, rng, amplitude),
-        p2=random_smooth_matrix(grid, r2, r2, rng, amplitude),
-        f=random_smooth_matrix(grid, r2, r1, rng, amplitude),
-        g=random_smooth_matrix(grid, r1, r2, rng, amplitude),
-    )
+    return TangentData(*_random_fields(grid, _slot_shapes(r1, r2), rng, amplitude))
 
 
 def random_configuration(grid: TorusGrid, r1: int, r2: int, rng, amplitude: float = 0.3) -> Configuration:
-    return Configuration(
-        grid=grid,
-        block_degrees1=(0,) * r1,
-        block_degrees2=(0,) * r2,
-        a1=random_smooth_matrix(grid, r1, r1, rng, amplitude),
-        p1=random_smooth_matrix(grid, r1, r1, rng, amplitude),
-        a2=random_smooth_matrix(grid, r2, r2, rng, amplitude),
-        p2=random_smooth_matrix(grid, r2, r2, rng, amplitude),
-        phi=random_smooth_matrix(grid, r2, r1, rng, amplitude),
-        psi=random_smooth_matrix(grid, r1, r2, rng, amplitude),
-    )
+    return Configuration(grid, (0,) * r1, (0,) * r2, *_random_fields(grid, _slot_shapes(r1, r2), rng, amplitude))
 
 
 def random_gauge_direction(grid: TorusGrid, r1: int, r2: int, rng, amplitude: float = 0.3) -> GaugeDirection:
-    return GaugeDirection(
-        u=random_skew_field(grid, r1, rng, amplitude),
-        v=random_skew_field(grid, r2, rng, amplitude),
-    )
+    return GaugeDirection(*map(_skew, _random_fields(grid, ((r1, r1), (r2, r2)), rng, amplitude)))
 
 
 def random_unitary_gauge(grid: TorusGrid, r: int, rng, amplitude: float = 0.2, modes: int = 1) -> np.ndarray:
-    """Pointwise unitary gauge field exp(skew); kept band-limited enough that
-    the spectral identities hold to round-off at n >= 32."""
-    return _expm_skew(random_skew_field(grid, r, rng, amplitude, modes))
-
-
-def _expm_skew(values: np.ndarray) -> np.ndarray:
-    """Pointwise exponential of a skew-Hermitian field (unitary result)."""
-    herm = -1j * values
-    w, v = geo.eigh(herm)
+    """Pointwise unitary gauge field exp(skew), taken through eigh; kept band-limited
+    enough that the spectral identities hold to round-off at n >= 32."""
+    w, v = geo.eigh(-1j * random_skew_field(grid, r, rng, amplitude, modes))
     return matmul(v * np.exp(1j * w)[..., None, :], adjoint_values(v))

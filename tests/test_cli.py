@@ -228,6 +228,11 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="complex"):
             parse_config(cfg).quadruplet()
 
+    def test_nonzero_subnormal_entry_accepted(self, tmp_path):
+        # 5e-324 rounds to the smallest subnormal, not to 0.0, so psi stays nonzero
+        cfg = write_config(tmp_path, SMALL_SOLVE.replace("psi = constant 1", "psi = constant 5e-324"))
+        assert parse_config(cfg).quadruplet().psi[0, 0, 0, 0] == 5e-324
+
     @pytest.mark.parametrize("spec, message", [
         ("constant nan", "non-finite"),
         ("constant inf", "non-finite"),
@@ -236,6 +241,11 @@ class TestConfigHandling:
         ("constant 1e400", "non-finite"),
         ("constant 1-1e400j", "non-finite"),
         ("matrix [[\"1e400\"]]", "non-finite"),
+        # nonzero rationals whose float64 values underflow to 0.0: stability would read
+        # a nonzero psi and solve a zero one
+        ("constant 1e-400", "underflows"),
+        ("constant 1e-400j", "underflows"),
+        ("matrix [[\"1e-400\"]]", "underflows"),
         # malformed matrix literals: not a list of rows
         ("matrix 5", "[fields] psi"),
         ("matrix [1]", "[fields] psi"),

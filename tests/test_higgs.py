@@ -275,6 +275,18 @@ class TestQuadrupletConstraints:
         with pytest.raises(ConstraintError, match="non-finite"):
             higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[value]])
 
+    @pytest.mark.parametrize("value", [Fraction(1, 10**400), Fraction(-1, 10**324)])
+    def test_float64_underflow_rejected(self, value):
+        # nonzero as a rational, but its float64 value is 0.0
+        g = geo.TorusGrid(8)
+        with pytest.raises(ConstraintError, match="underflows"):
+            higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[value]])
+
+    def test_nonzero_subnormal_accepted(self):
+        g = geo.TorusGrid(8)
+        q = higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[Fraction(5, 10**324)]])
+        assert q.psi[0, 0, 0, 0] == 5e-324
+
     def test_entries_are_exact(self):
         # a float is taken at its binary value, a Fraction as is; the arrays
         # hold each part rounded once

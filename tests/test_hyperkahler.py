@@ -99,6 +99,24 @@ class TestRandomSmoothMatrix:
         # same draws: the generator streams continue identically
         assert rng_fast.standard_normal() == rng_loop.standard_normal()
 
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("r1, r2", [(2, 1), (1, 2)])
+    def test_field_sets_follow_the_draw_order(self, n, r1, r2):
+        # a field set is one generator read, yet bit for bit the slot-by-slot calls in slot order
+        grid = geo.TorusGrid(n)
+        rng_set, rng_seq = np.random.default_rng(5), np.random.default_rng(5)
+        t = hk.random_tangent(grid, r1, r2, rng_set)
+        x = hk.random_configuration(grid, r1, r2, rng_set)
+        xi = hk.random_gauge_direction(grid, r1, r2, rng_set)
+        shapes = [(r1, r1), (r1, r1), (r2, r2), (r2, r2), (r2, r1), (r1, r2)]
+        want = [hk.random_smooth_matrix(grid, *shape, rng_seq, amplitude)
+                for amplitude in (0.5, 0.3) for shape in shapes]
+        want += [hk.random_skew_field(grid, r, rng_seq) for r in (r1, r2)]
+        got = [*t, x.a1, x.p1, x.a2, x.p2, x.phi, x.psi, xi.u, xi.v]
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert rng_set.bit_generator.state == rng_seq.bit_generator.state
+
     @pytest.mark.parametrize("modes", [1, 2])
     def test_band_limited_with_sup_amplitude(self, rng, modes):
         n = 16
@@ -131,7 +149,9 @@ class TestQuaternions:
 
     def test_quaternion_defect_detects_a_sign_error(self, rng, small_grid, monkeypatch):
         a = hk.random_tangent(small_grid, 2, 1, rng)
+        before = [x.copy() for x in a]
         assert hk.quaternion_defect(a) < 1e-12
+        assert all(np.array_equal(x, y) for x, y in zip(a, before))
         apply_J = hk.apply_J
 
         def flipped_J(t):
@@ -142,9 +162,14 @@ class TestQuaternions:
             # i on every slot commutes with I and squares to -1, but then (I J)^2 = +1
             return hk.TangentData(*(1j * x for x in t))
 
-        for broken_J in (flipped_J, commuting_J):
+        def identity_J(t):
+            # J(J(a)) returns a's own arrays, so a sum taken in place would double a
+            return t
+
+        for broken_J in (flipped_J, commuting_J, identity_J):
             monkeypatch.setattr(hk, "apply_J", broken_J)
             assert hk.quaternion_defect(a) > 1e-1
+            assert all(np.array_equal(x, y) for x, y in zip(a, before))
 
     def test_J_slot_bookkeeping(self, small_grid):
         # a with only an f slot maps to only a g slot, the adjoint of f
