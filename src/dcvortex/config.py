@@ -11,7 +11,9 @@ default unnoticed.  Field specifications accept
 and are read exactly into Gaussian-rational matrices.  An entry is a or
 a+bj (also a-bj, bj, j), where a and b are each an integer, a decimal
 (exponent allowed) or p/q.  An entry whose float64 value is not finite
-(nan, inf, 1e400), or is 0.0 although the entry is not (1e-400), is an error.
+(nan, inf, 1e400), or is 0.0 although the entry is not (1e-400), is an error,
+and so is a field whose float64 products F F^dagger or F^dagger F are not
+finite (constant 1e200): the residual forms them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConstraintError
 from .geometry import TorusGrid
 from .higgs import ExactMatrix, QuadrupletSpec
 from .vortex import SolveOptions, VortexConstants, constants_from_sigma, constants_from_tau
@@ -82,7 +85,11 @@ class RunConfig:
             key: build_field(key, self.field_specs.get(key, "zero"), ro, ri)
             for key, ro, ri in (("theta1", r1, r1), ("theta2", r2, r2), ("phi", r2, r1), ("psi", r1, r2))
         }
-        return QuadrupletSpec(self.grid(), self.block_degrees1, self.block_degrees2, **fields).validate()
+        try:
+            q = QuadrupletSpec(self.grid(), self.block_degrees1, self.block_degrees2, **fields)
+        except ConstraintError as exc:  # each message starts with the field's name
+            raise ConfigError(f"[fields] {exc}") from exc
+        return q.validate()
 
 
 def _parse_number(text: str, kind, where: str):

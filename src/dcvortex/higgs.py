@@ -19,7 +19,10 @@ Fields are complex (n, n, r_out, r_in) arrays; the slot name fixes the
 form type (theta_i are (1,0)-form coefficients, phi and psi functions,
 curvature and brackets dz^dzbar coefficients).  The vortex residual is
 built only from the named layers `chern_curvature`, `higgs_adjoint`,
-`bracket_theta` and `coupling_terms`, composed by `residual_terms`.
+`bracket_theta` and `coupling_terms`, composed by `lambda_terms` and
+`residual_terms`.  A field that is exactly zero adds no term: whether it
+is zero is read once from its exact matrix (`QuadrupletSpec.nonzero`), and
+its adjoint, bracket or coupling products are not formed.
 """
 
 from __future__ import annotations
@@ -89,7 +92,22 @@ def _exact(value, what: str) -> ExactMatrix:
     return ExactMatrix(*np.frompyfunc(lambda x: _gaussian(x, what), 1, 2)(entries))
 
 
+def _check_gram(values: np.ndarray, what: str) -> None:
+    """ConstraintError unless the float64 products F F^dagger and F^dagger F of the matrix F are finite.
+
+    They are the products the residual forms at h = Id; an entry of 1e200,
+    finite itself, would make them and the residual infinite.
+    """
+    adj = geo.adjoint_values(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = not values.size or all(np.isfinite(matmul(a, b)).all() for a, b in ((values, adj), (adj, values)))
+    if not finite:
+        raise ConstraintError(f"{what} is too large: {what} {what}^dagger or {what}^dagger {what} overflows float64")
+
+
 class ExactFields(NamedTuple):
+    """One item per field: its ExactMatrix in `QuadrupletSpec.exact`, a bool in `QuadrupletSpec.nonzero`."""
+
     theta1: ExactMatrix
     theta2: ExactMatrix
     phi: ExactMatrix
@@ -103,10 +121,13 @@ class QuadrupletSpec:
     theta_i are the dz coefficients of the Higgs fields, phi: E1 -> E2
     and psi: E2 -> E1 are functions.  Each is given as one constant matrix,
     an ExactMatrix or a matrix of ints, Fractions, floats or complex numbers
-    taken exactly (ConstraintError if an entry is NaN, infinite, past the
-    float64 range, or nonzero but 0.0 in float64), and kept in `exact`.  The
-    attributes theta1, theta2, phi, psi are its (n, n, r_out, r_in)
-    complex128 arrays, formed here once.
+    taken exactly (ConstraintError naming the field if an entry is NaN,
+    infinite, past the float64 range, or nonzero but 0.0 in float64, or if
+    the float64 Gram products F F^dagger or F^dagger F are not finite), and
+    kept in `exact`.  The attributes theta1, theta2, phi, psi are its
+    (n, n, r_out, r_in) complex128 arrays, formed here once; `nonzero`
+    holds, per field, whether any exact entry is nonzero.  A field that is
+    zero exactly is 0.0 in float64 too, so the residual skips its terms.
     """
 
     def __init__(self, grid: TorusGrid, block_degrees1, block_degrees2, theta1, theta2, phi, psi):
@@ -117,7 +138,11 @@ class QuadrupletSpec:
         self.d1, self.d2 = int(sum(self.block_degrees1)), int(sum(self.block_degrees2))
         given = (theta1, theta2, phi, psi)
         self.exact = ExactFields(*(_exact(v, name) for v, name in zip(given, ExactFields._fields)))
-        self.theta1, self.theta2, self.phi, self.psi = (geo.constant_field(grid, m.values()) for m in self.exact)
+        values = [m.values() for m in self.exact]
+        for v, name in zip(values, ExactFields._fields):
+            _check_gram(v, name)
+        self.nonzero = ExactFields(*(bool(m.support().any()) for m in self.exact))
+        self.theta1, self.theta2, self.phi, self.psi = (geo.constant_field(grid, v) for v in values)
 
     def validate(self):
         """Check shapes, block support, phi psi = psi phi = 0 and the twists, all exactly."""
@@ -223,30 +248,48 @@ def holomorphy_residuals(q: QuadrupletSpec) -> HolomorphyResiduals:
 def residual_terms(q: QuadrupletSpec, h1: np.ndarray, h2: np.ndarray, inv1=None, inv2=None):
     """The pieces of the vortex residual for metric arrays h1, h2.
 
-    Returns Lambda(F_{h_i} + [theta_i, theta_i^dagger]) for both bundles,
-    then the four coupling endomorphisms of `coupling_terms`.  inv1, inv2
-    are h1^-1, h2^-1 when the caller already has them and must match h1,
-    h2; a missing one is computed here, once.  The metrics are not
-    checked: callers pass metrics that are positive by construction or
-    were validated.
+    Returns the two terms of `lambda_terms`, then the four coupling
+    endomorphisms of `coupling_terms` (None for a coupling that is exactly
+    zero).  inv1, inv2 are h1^-1, h2^-1 when the caller already has them
+    and must match h1, h2; a missing one is computed here, once.  The
+    metrics are not checked: callers pass metrics that are positive by
+    construction or were validated.
     """
     inv1 = geo.inv(h1) if inv1 is None else inv1
     inv2 = geo.inv(h2) if inv2 is None else inv2
+    return lambda_terms(q, h1, h2, inv1, inv2) + coupling_terms(q, h1, h2, inv1, inv2)
+
+
+def lambda_terms(q: QuadrupletSpec, h1, h2, inv1, inv2):
+    """Lambda(F_{h_i} + [theta_i, theta_i^dagger]) for both bundles; inv1, inv2 are h1^-1, h2^-1.
+
+    The bracket of a theta_i that is exactly zero is not formed: the term
+    is the curvature alone.
+    """
     lam = []
-    for theta, h, hinv, degrees in (
-        (q.theta1, h1, inv1, q.block_degrees1),
-        (q.theta2, h2, inv2, q.block_degrees2),
+    for theta, nonzero, h, hinv, degrees in (
+        (q.theta1, q.nonzero.theta1, h1, inv1, q.block_degrees1),
+        (q.theta2, q.nonzero.theta2, h2, inv2, q.block_degrees2),
     ):
-        s = higgs_adjoint(theta, hinv, h)
-        lam.append(-2j * (chern_curvature(h, hinv, degrees) + bracket_theta(theta, s)))
-    return (lam[0], lam[1]) + coupling_terms(q, h1, h2, inv1, inv2)
+        curvature = chern_curvature(h, hinv, degrees)
+        if nonzero:
+            curvature = curvature + bracket_theta(theta, higgs_adjoint(theta, hinv, h))
+        lam.append(-2j * curvature)
+    return lam[0], lam[1]
 
 
 def coupling_terms(q: QuadrupletSpec, h1, h2, inv1, inv2):
     """The four quadratic coupling endomorphisms (phi*phi, phi phi*, psi psi*, psi* psi).
 
-    inv1, inv2 are the inverses of the metric arrays h1, h2.
+    inv1, inv2 are the inverses of the metric arrays h1, h2.  The adjoint
+    and the two products of a coupling that is exactly zero are not
+    formed: both its terms are None.
     """
-    phi_star = higgs_adjoint(q.phi, inv1, h2)
-    psi_star = higgs_adjoint(q.psi, inv2, h1)
-    return matmul(phi_star, q.phi), matmul(q.phi, phi_star), matmul(q.psi, psi_star), matmul(psi_star, q.psi)
+    phi_terms = psi_terms = (None, None)
+    if q.nonzero.phi:
+        phi_star = higgs_adjoint(q.phi, inv1, h2)
+        phi_terms = matmul(phi_star, q.phi), matmul(q.phi, phi_star)
+    if q.nonzero.psi:
+        psi_star = higgs_adjoint(q.psi, inv2, h1)
+        psi_terms = matmul(q.psi, psi_star), matmul(psi_star, q.psi)
+    return phi_terms + psi_terms

@@ -16,7 +16,7 @@ The product checks make one array pass over one set of N sample points
 (torus index, P^1 coordinate), drawn in bulk by `random_product_points`
 and shared by both checks: `assemble_F` builds the (N, r, r) block arrays
 of F, `product_residual_blocks` multiplies them with `geometry.matmul` and adds
-the X part of the curvature from `higgs.residual_terms`, and
+the X part of the curvature from `higgs.lambda_terms`, and
 `integrability_residual` weighs the (dbar_F + theta_F)^2 components at the
 same points.  The Hermitian-Einstein constant is the closed form
 `VortexConstants.lambda_he`.
@@ -251,7 +251,7 @@ def product_residual_blocks(assembled: AssembledProduct, lam: complex) -> np.nda
     P = theta_off, with X* = H^-1 X^dagger H: B B* - B* B + P P* - P* P plus
     the curvature of h^(2) on the second block, contracted by lambda_p1.  The
     X part is Lambda(F_{h_i} + [theta_i, theta_i^dagger]) from
-    `higgs.residual_terms` at the sampled torus points, weighted 2/sigma.
+    `higgs.lambda_terms` at the sampled torus points, weighted 2/sigma.
     """
     q, r1 = assembled.q, assembled.q.r1
     metric = assembled.metric
@@ -267,7 +267,8 @@ def product_residual_blocks(assembled: AssembledProduct, lam: complex) -> np.nda
     p1_part[:, r1:, r1:] += P1LineData(2).curvature_coeff(zeta) * np.eye(q.r2)
     wx, wp = lambda_weights(assembled.sigma)
     out = lambda_p1(p1_part, zeta, wp)
-    lam1, lam2 = higgs.residual_terms(q, assembled.h.h1, assembled.h.h2)[:2]
+    h1, h2 = assembled.h.h1, assembled.h.h2
+    lam1, lam2 = higgs.lambda_terms(q, h1, h2, geo.inv(h1), geo.inv(h2))
     i, j = assembled.ij.T
     out[:, :r1, :r1] += wx * lam1[i, j]
     out[:, r1:, r1:] += wx * lam2[i, j]

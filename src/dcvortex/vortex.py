@@ -105,16 +105,20 @@ def residual(
     checked=False skips the Hermitian/positivity check of h; the solver
     passes it for its own iterates h = exp(herm s), positive by construction,
     together with the inverses (h1^-1, h2^-1) it already has (None: computed).
+    A field that is exactly zero adds no term: its Higgs bracket or coupling
+    products are neither formed nor added (`higgs.residual_terms`).
     """
     if checked:
         h.validate()
-    lam1, lam2, phis_phi, phi_phis, psi_psis, psis_psi = higgs.residual_terms(q, h.h1, h.h2, *inverses)
-    tau = float(c.tau)
-    tau_p = float(c.tau_prime)
-    eye1 = np.eye(q.r1)
-    eye2 = np.eye(q.r2)
-    r1 = lam1 + 1j * phis_phi - 1j * psi_psis + TWO_PI * 1j * tau * eye1
-    r2 = lam2 - 1j * phi_phis + 1j * psis_psi + TWO_PI * 1j * tau_p * eye2
+    r1, r2, phis_phi, phi_phis, psi_psis, psis_psi = higgs.residual_terms(q, h.h1, h.h2, *inverses)
+    if phis_phi is not None:
+        r1 = r1 + 1j * phis_phi
+        r2 = r2 - 1j * phi_phis
+    if psi_psis is not None:
+        r1 = r1 - 1j * psi_psis
+        r2 = r2 + 1j * psis_psi
+    r1 = r1 + TWO_PI * 1j * float(c.tau) * np.eye(q.r1)
+    r2 = r2 + TWO_PI * 1j * float(c.tau_prime) * np.eye(q.r2)
     return r1, r2
 
 

@@ -10,6 +10,7 @@ import pytest
 from dcvortex import geometry as geo
 from dcvortex import higgs
 from dcvortex import hyperkahler as hk
+from dcvortex import vortex
 from dcvortex.geometry import TorusGrid
 from dcvortex.higgs import MetricPair, QuadrupletSpec
 
@@ -70,6 +71,28 @@ def random_metric_pair(q: QuadrupletSpec, rng, amplitude=0.25) -> MetricPair:
     return MetricPair(higgs.expm_hermitian(s1), higgs.expm_hermitian(s2)).validate()
 
 
+def residual_with_every_term(q: QuadrupletSpec, h: MetricPair, c) -> tuple[np.ndarray, np.ndarray]:
+    """(R1, R2) summed from every term, zero fields included, in `vortex.residual`'s order.
+
+    Forms both Higgs brackets and all four coupling products with the named
+    `higgs` layers whatever the fields are: the reference for the terms
+    `vortex.residual` skips because a field is exactly zero.
+    """
+    inv1, inv2 = geo.inv(h.h1), geo.inv(h.h2)
+    lam1, lam2 = (
+        -2j * (higgs.chern_curvature(hh, inv, degrees) + higgs.bracket_theta(t, higgs.higgs_adjoint(t, inv, hh)))
+        for t, hh, inv, degrees in ((q.theta1, h.h1, inv1, q.block_degrees1), (q.theta2, h.h2, inv2, q.block_degrees2))
+    )
+    phi_star = higgs.higgs_adjoint(q.phi, inv1, h.h2)
+    psi_star = higgs.higgs_adjoint(q.psi, inv2, h.h1)
+    m = geo.matmul
+    const1 = vortex.TWO_PI * 1j * float(c.tau) * np.eye(q.r1)
+    const2 = vortex.TWO_PI * 1j * float(c.tau_prime) * np.eye(q.r2)
+    r1 = lam1 + 1j * m(phi_star, q.phi) - 1j * m(q.psi, psi_star) + const1
+    r2 = lam2 - 1j * m(q.phi, phi_star) + 1j * m(psi_star, q.psi) + const2
+    return r1, r2
+
+
 def random_admissible_quadruplet(grid: TorusGrid, rng) -> QuadrupletSpec:
     """Random quadruplet satisfying all defining constraints exactly.
 
@@ -114,6 +137,16 @@ def random_fraction(rng, max_num=8, max_den=6) -> Fraction:
 def psi_entry(grid: TorusGrid) -> QuadrupletSpec:
     """The stable catalog entry: trivial line bundles, psi = 1."""
     return QuadrupletSpec(grid, (0,), (0,), [[0]], [[0]], [[0]], [[1]]).validate()
+
+
+def unstable_rank2_entry(grid: TorusGrid) -> QuadrupletSpec:
+    """The bench's unstable rank-(2,1) entry: E1 = O + O, E2 = O, psi = e1, every other field zero."""
+    return QuadrupletSpec(grid, (0, 0), (0,), np.zeros((2, 2)), [[0]], np.zeros((1, 2)), [[1], [0]]).validate()
+
+
+def nilpotent_rank2_entry(grid: TorusGrid) -> QuadrupletSpec:
+    """theta1 = [[0, 1], [0, 0]] dz on E1 = O + O, E2 = O, every other field zero."""
+    return QuadrupletSpec(grid, (0, 0), (0,), [[0, 1], [0, 0]], [[0]], np.zeros((1, 2)), np.zeros((2, 1))).validate()
 
 
 def phi_entry(grid: TorusGrid) -> QuadrupletSpec:

@@ -246,6 +246,8 @@ class TestConfigHandling:
         ("constant 1e-400", "underflows"),
         ("constant 1e-400j", "underflows"),
         ("matrix [[\"1e-400\"]]", "underflows"),
+        # finite, but |psi|^2 overflows float64, and with it the residual at h = Id
+        ("constant 1e200", "[fields] psi is too large"),
         # malformed matrix literals: not a list of rows
         ("matrix 5", "[fields] psi"),
         ("matrix [1]", "[fields] psi"),

@@ -275,6 +275,16 @@ class TestQuadrupletConstraints:
         with pytest.raises(ConstraintError, match="non-finite"):
             higgs.QuadrupletSpec(g, (0,), (0,), [[0]], [[0]], [[0]], [[value]])
 
+    def test_float64_gram_overflow_rejected(self):
+        # each entry's square 1e308 is finite, but psi psi^dagger sums two of them and overflows;
+        # the residual forms that product at h = Id
+        g = geo.TorusGrid(8)
+        other = [[0]], np.zeros((2, 2)), np.zeros((2, 1))
+        with pytest.raises(ConstraintError, match="psi is too large"):
+            higgs.QuadrupletSpec(g, (0,), (0, 0), *other, [["1e154", "1e154"]])
+        q = higgs.QuadrupletSpec(g, (0,), (0, 0), *other, [["1e154", "0"]])
+        assert q.psi[0, 0, 0, 0] == 1e154
+
     @pytest.mark.parametrize("value", [Fraction(1, 10**400), Fraction(-1, 10**324)])
     def test_float64_underflow_rejected(self, value):
         # nonzero as a rational, but its float64 value is 0.0

@@ -10,13 +10,16 @@ from dcvortex import higgs, vortex
 from dcvortex.errors import ShapeError
 
 from conftest import (
+    nilpotent_rank2_entry,
     phi_entry,
     psi_entry,
     random_admissible_quadruplet,
     random_fraction,
     random_hermitian_log,
     random_metric_pair,
+    residual_with_every_term,
     unit_metrics,
+    unstable_rank2_entry,
 )
 
 
@@ -71,6 +74,66 @@ class TestConstants:
         assert not c.reduction_enabled
         with pytest.raises(Exception):
             _ = c.lambda_he
+
+
+def _constants(q, tau=Fraction(1, 2)):
+    return vortex.constants_from_tau(tau, q.r1, q.r2, q.d1, q.d2)
+
+
+def _with_zero(q, name):
+    """q with the field `name` replaced by zeros; the constraints are not checked."""
+    fields = q.exact._replace(**{name: np.zeros(getattr(q.exact, name).re.shape)})
+    return higgs.QuadrupletSpec(q.grid, q.block_degrees1, q.block_degrees2, *fields)
+
+
+class TestZeroFieldsAddNoTerms:
+    """A field that is exactly zero adds no term, and the residual is exactly the one with every term."""
+
+    @pytest.mark.parametrize("entry", [psi_entry, phi_entry, unstable_rank2_entry, nilpotent_rank2_entry])
+    def test_catalog_entries_match_every_term(self, entry):
+        rng = np.random.default_rng(31)
+        q = entry(geo.TorusGrid(16))
+        for _ in range(3):
+            h = random_metric_pair(q, rng)
+            for got, want in zip(vortex.residual(q, h, _constants(q)), residual_with_every_term(q, h, _constants(q))):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["theta1", "theta2", "phi", "psi"])
+    def test_random_draws_with_one_field_zeroed_match_every_term(self, name):
+        rng = np.random.default_rng(32)
+        g = geo.TorusGrid(8)
+        for _ in range(12):
+            q = _with_zero(random_admissible_quadruplet(g, rng), name)
+            assert not getattr(q.nonzero, name)
+            h = random_metric_pair(q, rng)
+            c = _constants(q, random_fraction(rng))
+            for got, want in zip(vortex.residual(q, h, c), residual_with_every_term(q, h, c)):
+                assert np.array_equal(got, want)
+
+    def test_zero_fields_form_no_adjoint_and_no_bracket(self, monkeypatch):
+        calls = {"higgs_adjoint": 0, "bracket_theta": 0}
+
+        def counted(name):
+            layer = getattr(higgs, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return layer(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(higgs, name, counted(name))
+        g = geo.TorusGrid(8)
+        q = psi_entry(g)
+        assert q.nonzero == (False, False, False, True)
+        vortex.residual(q, unit_metrics(q), _constants(q))
+        assert calls == {"higgs_adjoint": 1, "bracket_theta": 0}
+        nilpotent = [[0, 1], [0, 0]], [[0, 3], [0, 0]]
+        full = higgs.QuadrupletSpec(g, (0, 0), (0, 0), np.diag([1, 2]), np.diag([2, 1]), *nilpotent).validate()
+        assert full.nonzero == (True, True, True, True)
+        calls.update(higgs_adjoint=0, bracket_theta=0)
+        vortex.residual(full, unit_metrics(full), _constants(full))
+        assert calls == {"higgs_adjoint": 4, "bracket_theta": 2}
 
 
 class TestResidual:
